@@ -5,7 +5,8 @@ consecutive gaps take the three values 1+eta, eta and 1+2*eta, and the
 successor of a point is decided by where its star image a - b*eps sits in
 the window.  The star images of consecutive points are consecutive
 iterates of the three-interval exchange on the window, which is what ties
-these sets to orbit coding.
+these sets to orbit coding: `generate` turns the letters of
+`iet.OrbitCoder` into gaps; `lattice_filter` is the independent reference.
 
 Points are kept as integer pairs (a, b); the representation is unique
 because eta is irrational.
@@ -13,10 +14,12 @@ because eta is irrational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import DangerousEta, InvalidWindow
+from .iet import IetSpec, OrbitCoder
 from .qfield import QuadNum
 
 __all__ = ["CapSetConfig", "star", "point_value", "generate", "gap_class",
@@ -68,25 +71,19 @@ def point_value(cfg: CapSetConfig, p: Pair) -> QuadNum:
     return cfg.eta.field.rational(a) + b * cfg.eta
 
 
-def _successor(cfg: CapSetConfig, p: Pair, x: QuadNum) -> Tuple[Pair, QuadNum]:
-    """Next point to the right and its star image (= exchange applied to x)."""
-    a, b = p
-    eps = cfg.eps
-    if x < cfg.window_end - 1 + eps:
-        return (a + 1, b + 1), x + 1 - eps  # gap 1+eta
-    if x < cfg.window_start + eps:
-        return (a + 1, b + 2), x + 1 - 2 * eps  # gap 1+2*eta
-    return (a, b + 1), x - eps  # gap eta
+# the gap from a point to the next one, by the exchange letter of its star
+# image: 1+eta, 1+2*eta or eta
+_GAP = {"A": (1, 1), "B": (1, 2), "C": (0, 1)}
 
 
-def _predecessor(cfg: CapSetConfig, p: Pair, x: QuadNum) -> Tuple[Pair, QuadNum]:
-    a, b = p
-    eps = cfg.eps
-    if x < cfg.window_end - eps:
-        return (a, b - 1), x + eps
-    if x < cfg.window_start + 1 - eps:
-        return (a - 1, b - 2), x - 1 + 2 * eps
-    return (a - 1, b - 1), x - 1 + eps
+def _scan(letters: Iterable[str], sign: int) -> List[Pair]:
+    """The points reached from 0 by adding (sign 1) or subtracting (sign -1)
+    the gap of each letter in turn."""
+    p, out = (0, 0), []
+    for letter in letters:
+        p = (p[0] + sign * _GAP[letter][0], p[1] + sign * _GAP[letter][1])
+        out.append(p)
+    return out
 
 
 def generate(cfg: CapSetConfig, count: int, back: int = 0) -> List[Pair]:
@@ -97,17 +94,11 @@ def generate(cfg: CapSetConfig, count: int, back: int = 0) -> List[Pair]:
         raise InvalidWindow("0 must lie in the acceptance window")
     if count < 0 or back < 0:
         raise ValueError("count and back must be nonnegative")
-    fwd: List[Pair] = [(0, 0)]
-    p, x = (0, 0), zero
-    for _ in range(count):
-        p, x = _successor(cfg, p, x)
-        fwd.append(p)
-    bwd: List[Pair] = []
-    p, x = (0, 0), zero
-    for _ in range(back):
-        p, x = _predecessor(cfg, p, x)
-        bwd.append(p)
-    return list(reversed(bwd)) + fwd
+    # not make_spec: validate() also admits l = 1, where B never occurs
+    coder = OrbitCoder(IetSpec(cfg.eps, cfg.window_len, cfg.window_start))
+    fwd = _scan(islice(coder.forward(), count), 1)
+    bwd = _scan(islice(coder.backward(), back), -1)
+    return bwd[::-1] + [(0, 0)] + fwd
 
 
 def gap_class(p: Pair, q: Pair) -> str:

@@ -41,11 +41,17 @@ def _spec_from_args(args) -> IetSpec:
         return normalize(*alphas, x0)
     if args.eps is None or args.l is None or args.c is None:
         raise ValueError("provide either --eps/--l/--c or --alpha1/--alpha2/--alpha3")
-    return make_spec(
-        parse_quadnum(args.eps, field),
-        parse_quadnum(args.l, field),
-        parse_quadnum(args.c, field),
-    )
+    return make_spec(*(parse_quadnum(text, field) for text in (args.eps, args.l, args.c)))
+
+
+def _spec_from_json(data) -> IetSpec:
+    """The spec of a sweep line or a stored report, whose `field` is either
+    [A, B, C(, branch)] or the {A, B, C, branch} object of report_to_json."""
+    field = data["field"]
+    if isinstance(field, dict):
+        field = [field["A"], field["B"], field["C"], field.get("branch", 1)]
+    f = make_field(*field)
+    return make_spec(*(parse_quadnum(data[key], f) for key in ("eps", "l", "c")))
 
 
 def _num_json(x: QuadNum) -> dict:
@@ -186,14 +192,9 @@ def _cmd_generate(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     with open(args.report) as handle:
         data = json.load(handle)
-    field = make_field(**data["field"])
-    spec = make_spec(
-        parse_quadnum(data["eps"], field),
-        parse_quadnum(data["l"], field),
-        parse_quadnum(data["c"], field),
-    )
+    spec = _spec_from_json(data)
     sub = Substitution(("A", "B", "C"), dict(data["substitution"]))
-    lam = parse_quadnum(data["lambda"], field)
+    lam = parse_quadnum(data["lambda"], spec.field)
     ok_fix = sub.verify_fixed_point(spec, args.radius)
     ok_eig = sub.check_eigenvector(spec.eps, lam)
     print(f"fixed_point: {ok_fix}", file=out)
@@ -234,17 +235,14 @@ def _cmd_sweep(args, out) -> int:
             line = line.strip()
             if not line:
                 continue
-            data = json.loads(line)
+            data = line  # the raw text, until it parses
             try:
-                field = make_field(*data["field"])
-                spec = make_spec(
-                    parse_quadnum(data["eps"], field),
-                    parse_quadnum(data["l"], field),
-                    parse_quadnum(data["c"], field),
-                )
-                report = decide(spec, radius=args.radius)
+                data = json.loads(line)
+                report = decide(_spec_from_json(data), radius=args.radius)
                 record = report_to_json(report)
-            except Iet3Error as exc:
+            # a bad line: malformed JSON is a ValueError, a value of the
+            # wrong JSON type a TypeError
+            except (Iet3Error, ValueError, KeyError, TypeError) as exc:
                 record = {"error": str(exc), "input": data}
                 status = 2
             json.dump(record, out)

@@ -57,5 +57,13 @@ class StepBudgetExceeded(Iet3Error):
     """An orbit walk ran past its safety cap."""
 
 
+class InvalidStepBudget(Iet3Error):
+    """IET3_STEP_BUDGET is not a positive integer."""
+
+
+class InvalidUnit(Iet3Error):
+    """A candidate scaling unit does not permute the residue classes mod Z[e]."""
+
+
 class NotApplicable(Iet3Error):
     """Operation precondition (e.g. conjugate branch) not met."""

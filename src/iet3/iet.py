@@ -9,20 +9,20 @@ The map acts on [c, c+l) with discontinuities d1 = c+l-1+eps, d2 = c+eps:
 Valid parameters satisfy eps in (0,1), 1 > l > max(1-eps, eps) and
 0 in [c, c+l); all intervals are left-closed right-open.
 
-Orbit coding iterates this with exact arithmetic.  `OrbitCoder` clears
-denominators once and runs the loop on integer coordinates, so a step is
-a couple of big-int multiplications; `code_orbit` is the convenient
-QuadNum-level wrapper.
+`step` and `inverse_step` act on QuadNums and are the plain reference.
+Every loop instead runs `OrbitCoder`, which keeps points as integer pairs
+of a `qfield.Frame`: a step is an integer addition and a letter at most
+two exact signs.  `code_orbit` is its word-level wrapper.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .errors import OutOfDomain, RationalSlope
-from .qfield import FieldDesc, QuadNum, denominator, sign_of_surd
+from .qfield import FieldDesc, Frame, QuadNum
 
 __all__ = ["IetSpec", "make_spec", "normalize", "step", "inverse_step", "code_orbit",
            "non_degenerate", "OrbitCoder", "orbit_window"]
@@ -135,74 +135,50 @@ def non_degenerate(spec: IetSpec) -> bool:
 
 
 class OrbitCoder:
-    """Exact orbit coding of 0 on integer coordinates.
+    """Exact orbit coding on the integer pairs of a `Frame`.
 
-    Every orbit point is (ia + ib*e)/L with integers ia, ib, where L
-    clears the denominators of c, l and eps.  A comparison against a
-    discontinuity is the sign of an integer surd P + Q*sqrt(D).
+    The frame holds c, l, eps and any `extra` numbers the caller wants to
+    compare orbit points with.  Points are pairs; the letter of a point
+    is decided against the cuts d1, d2 (forward) or c+l-eps, c+1-eps
+    (backward, where the images tile the domain as T(I3), T(I2), T(I1)).
     """
 
-    def __init__(self, spec: IetSpec):
-        self.spec = spec
-        f = spec.field
-        L = denominator([spec.c, spec.l, spec.eps])
-        self.L = L
-        self.A, self.B, self.D, self.branch = f.A, f.B, f.disc, f.branch
-
-        def ipair(x: QuadNum):
-            xa, xb = L * x.a, L * x.b
-            return (int(xa), int(xb))
-
-        self.c = ipair(spec.c)
-        self.d1 = ipair(spec.d1)
-        self.d2 = ipair(spec.d2)
-        self.end = ipair(spec.end)
+    def __init__(self, spec: IetSpec, extra: Iterable[QuadNum] = ()):
+        self.frame = fr = Frame(spec.field, [spec.c, spec.l, spec.eps, *extra])
+        self.c, self.d1, self.d2, self.end, self.b1, self.b2 = (fr.pair(x) for x in (
+            spec.c, spec.d1, spec.d2, spec.end, spec.end - spec.eps, spec.c + 1 - spec.eps))
         # forward shifts for letters A, B, C
-        self.shift = tuple(ipair(s) for s in spec.shifts())
-        # backward branch boundaries: c+l-eps and c+1-eps
-        self.b1 = ipair(spec.end - spec.eps)
-        self.b2 = ipair(spec.c + 1 - spec.eps)
+        self.shift = tuple(fr.pair(s) for s in spec.shifts())
 
-    def _less(self, x, d) -> bool:
-        pa, pb = x[0] - d[0], x[1] - d[1]
-        P = 2 * self.A * pa - self.B * pb
-        Q = self.branch * pb
-        return sign_of_surd(P, Q, self.D) < 0
+    def forward_points(self, start=(0, 0)) -> Iterator[Tuple[Tuple[int, int], int]]:
+        """(T^n(start), index of its letter) for n = 0, 1, ..."""
+        cmp, d1, d2, shift = self.frame.cmp, self.d1, self.d2, self.shift
+        x = start
+        while True:
+            i = 0 if cmp(x, d1) < 0 else 1 if cmp(x, d2) < 0 else 2
+            yield x, i
+            s = shift[i]
+            x = (x[0] + s[0], x[1] + s[1])
 
-    def letter_of(self, x) -> int:
-        if self._less(x, self.d1):
-            return 0
-        if self._less(x, self.d2):
-            return 1
-        return 2
+    def backward_points(self, start=(0, 0)) -> Iterator[Tuple[Tuple[int, int], int]]:
+        """(T^-n(start), index of its letter) for n = 1, 2, ..."""
+        cmp, b1, b2, shift = self.frame.cmp, self.b1, self.b2, self.shift
+        x = start
+        while True:
+            i = 2 if cmp(x, b1) < 0 else 1 if cmp(x, b2) < 0 else 0
+            s = shift[i]
+            x = (x[0] - s[0], x[1] - s[1])
+            yield x, i
 
     def forward(self, start=(0, 0)) -> Iterator[str]:
         """Letters u_0, u_1, ... coding the forward orbit."""
-        x = start
-        while True:
-            i = self.letter_of(x)
+        for _x, i in self.forward_points(start):
             yield LETTERS[i]
-            s = self.shift[i]
-            x = (x[0] + s[0], x[1] + s[1])
 
     def backward(self, start=(0, 0)) -> Iterator[str]:
         """Letters u_-1, u_-2, ... coding the backward orbit."""
-        x = start
-        while True:
-            if self._less(x, self.b1):
-                i = 2
-            elif self._less(x, self.b2):
-                i = 1
-            else:
-                i = 0
-            s = self.shift[i]
-            x = (x[0] - s[0], x[1] - s[1])
+        for _x, i in self.backward_points(start):
             yield LETTERS[i]
-
-    def point(self, x) -> QuadNum:
-        from fractions import Fraction
-
-        return QuadNum(Fraction(x[0], self.L), Fraction(x[1], self.L), self.spec.field)
 
 
 def code_orbit(spec: IetSpec, frm: int, to: int) -> str:
@@ -212,17 +188,11 @@ def code_orbit(spec: IetSpec, frm: int, to: int) -> str:
     coder = OrbitCoder(spec)
     parts = []
     if frm < 0:
-        back = []
-        gen = coder.backward()
-        for _ in range(-frm):
-            back.append(next(gen))
         # u_-1 comes out first; trim to [frm, min(to,0)) and restore order
-        keep = back[-to:] if to < 0 else back
-        parts.append("".join(reversed(keep)))
+        back = "".join(islice(coder.backward(), -frm))
+        parts.append((back[-to:] if to < 0 else back)[::-1])
     if to > 0:
-        gen = coder.forward()
-        fwd = [next(gen) for _ in range(to)]
-        parts.append("".join(fwd[max(frm, 0) :]))
+        parts.append("".join(islice(coder.forward(), to))[max(frm, 0):])
     return "".join(parts)
 
 

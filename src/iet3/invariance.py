@@ -8,6 +8,10 @@ return to J: all points of a tracked interval share one return name, so
 translating the interval and recording visited letters both computes the
 images and proves their correctness (a straddled discontinuity aborts the
 walk instead of being split).
+
+The walk, the ancestor search and the block-start check run on the
+integer points of an `iet.OrbitCoder` whose frame also holds the
+lam'-scaled numbers they compare with.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from .errors import NotApplicable, StepBudgetExceeded, StraddlesDiscontinuity
-from .iet import IetSpec, inverse_step, make_spec, step
-from .qfield import QuadNum, denominator, sign_of_surd
+from .errors import (InvalidStepBudget, NotApplicable, OutOfDomain,
+                     StepBudgetExceeded, StraddlesDiscontinuity)
+from .iet import LETTERS, IetSpec, OrbitCoder, make_spec, step
+from .qfield import QuadNum, denominator
 from .quadunit import ScalingUnit, class_fixing_power, lemma_unit
 from .substitution import Substitution
 
@@ -40,7 +46,10 @@ _REVERSAL_SWAP = {"A": "C", "B": "B", "C": "A"}
 
 
 def _step_budget() -> int:
-    return int(os.environ.get("IET3_STEP_BUDGET", DEFAULT_STEP_BUDGET))
+    text = os.environ.get("IET3_STEP_BUDGET", str(DEFAULT_STEP_BUDGET))
+    if not (text.strip().isdecimal() and int(text) > 0):
+        raise InvalidStepBudget(f"IET3_STEP_BUDGET must be a positive integer, got {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -97,11 +106,16 @@ def ancestor(spec: IetSpec, j_start: QuadNum, j_end: QuadNum, z0: QuadNum,
     ancestor because the forward path from it to z0 avoids J.
     """
     budget = budget if budget is not None else _step_budget()
-    z = z0
+    if not spec.contains(z0):
+        raise OutOfDomain(f"{z0} not in [{spec.c}, {spec.end})")
+    coder = OrbitCoder(spec, (j_start, j_end, z0))
+    fr = coder.frame
+    js, je, z = fr.pair(j_start), fr.pair(j_end), fr.pair(z0)
+    back = coder.backward_points(z)
     for _ in range(budget):
-        if j_start <= z < j_end:
-            return z
-        z, _letter = inverse_step(spec, z)
+        if fr.cmp(z, js) >= 0 and fr.cmp(z, je) < 0:
+            return fr.point(z)
+        z, _letter = next(back)
     raise StepBudgetExceeded(f"no ancestor of {z0} found within {budget} steps")
 
 
@@ -124,43 +138,44 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
     orbit points falling in J = lam' * [c, c+l)?
 
     The two-sided word is cut into blocks sub(u_m) aligned at position 0.
-    True iff, for every n in (-window, window), T^n(0) lies in J exactly
-    when a block starts at n, and the started letter names the scaled
-    subinterval lam' * I_i containing the point.
+    True iff, for every n in (-window, window), the blocks spell the
+    orbit word u_n, T^n(0) lies in J exactly when a block starts at n,
+    and the started letter names the scaled subinterval lam' * I_i
+    containing the point.
     """
+    if window < 1:
+        raise ValueError("window must be at least 1")
     conj = unit.lam_conj
-    j_start, j_end = conj * spec.c, conj * spec.end
-    pieces = tuple((conj * a, conj * b) for a, b in spec.subintervals())
-    points = {0: spec.field.zero()}
-    letters = {}
-    z = points[0]
-    for n in range(window):
-        z, letters[n] = step(spec, z)
-        points[n + 1] = z
-    z = points[0]
-    for n in range(0, -window, -1):
-        z, letters[n - 1] = inverse_step(spec, z)
-        points[n - 1] = z
-    starts = {}
-    pos, n = 0, 0
-    while pos < window:
-        starts[pos] = letters[n]
-        pos += len(sub.images[letters[n]])
-        n += 1
-    pos, n = 0, -1
-    while pos > -window + 1:
-        pos -= len(sub.images[letters[n]])
-        starts[pos] = letters[n]
-        n -= 1
-    for n in range(-window + 1, window):
-        z = points[n]
-        in_j = j_start <= z < j_end
-        if in_j != (n in starts):
-            return False
-        if in_j:
-            lo, hi = pieces["ABC".index(starts[n])]
-            if not (lo <= z < hi):
+    scaled = [conj * x for x in (spec.c, spec.d1, spec.d2, spec.end)]
+    coder = OrbitCoder(spec, scaled)
+    cmp = coder.frame.cmp
+    # J = [cuts[0], cuts[3]) and lam' * I_i = [cuts[i], cuts[i+1])
+    cuts = [coder.frame.pair(x) for x in scaled]
+    mirrored = {a: w[::-1] for a, w in sub.images.items()}
+    # Each side is read away from 0: u_0, u_1, ... with the images, then
+    # u_-1, u_-2, ... with the mirrored images, where a block starts at
+    # the last letter read.
+    for points, images, back in ((islice(coder.forward_points(), window), sub.images, 0),
+                                 (islice(coder.backward_points(), window - 1), mirrored, 1)):
+        points = list(points)
+        word = "".join(LETTERS[i] for _x, i in points)
+        starts, pos = {}, 0
+        for letter in word:
+            if pos >= len(word):
+                break
+            img = images[letter]
+            if word[pos:pos + len(img)] != img[:len(word) - pos]:
                 return False
+            starts[pos + back * (len(img) - 1)] = letter
+            pos += len(img)
+        for k, (x, _i) in enumerate(points):
+            in_j = cmp(x, cuts[0]) >= 0 and cmp(x, cuts[3]) < 0
+            if in_j != (k in starts):
+                return False
+            if in_j:
+                i = LETTERS.index(starts[k])
+                if not (cmp(x, cuts[i]) >= 0 and cmp(x, cuts[i + 1]) < 0):
+                    return False
     return True
 
 
@@ -168,50 +183,30 @@ def _walk_interval(spec: IetSpec, lo: QuadNum, hi: QuadNum,
                    j_start: QuadNum, j_end: QuadNum, budget: int):
     """Track [lo, hi) through the exchange until it returns inside J.
 
-    Runs on integer coordinates (all endpoints scaled by their common
-    denominator) so each step costs a few integer surd signs.
+    The interval moves rigidly, so the walk follows the orbit of lo on
+    the integer pairs of an OrbitCoder (whose frame also holds hi and J)
+    and keeps hi at the fixed offset hi - lo.
     """
-    f = spec.field
-    L = denominator([spec.eps, spec.l, spec.c, j_start, j_end, lo, hi])
-    A, B, D, branch = f.A, f.B, f.disc, f.branch
-
-    def ipair(x: QuadNum) -> Tuple[int, int]:
-        return (int(L * x.a), int(L * x.b))
-
-    def diff_sign(p, q) -> int:  # sign of q - p
-        pa, pb = q[0] - p[0], q[1] - p[1]
-        return sign_of_surd(2 * A * pa - B * pb, branch * pb, D)
-
-    bounds = tuple((ipair(a), ipair(b)) for a, b in spec.subintervals())
-    shifts = tuple(ipair(s) for s in spec.shifts())
-    js, je = ipair(j_start), ipair(j_end)
-    ilo, ihi = ipair(lo), ipair(hi)
+    coder = OrbitCoder(spec, (j_start, j_end, lo, hi))
+    fr = coder.frame
+    cmp = fr.cmp
+    js, je, ilo, ihi = (fr.pair(x) for x in (j_start, j_end, lo, hi))
+    w0, w1 = ihi[0] - ilo[0], ihi[1] - ilo[1]
+    if cmp(ilo, coder.c) < 0 or cmp(ilo, coder.end) >= 0:
+        raise StraddlesDiscontinuity("tracked interval escaped the domain")
+    upper = (coder.d1, coder.d2, coder.end)  # right ends of I1, I2, I3
     name = []
-    for _ in range(budget):
-        placed = False
-        for idx in range(3):
-            blo, bhi = bounds[idx]
-            if diff_sign(blo, ilo) >= 0 and diff_sign(ilo, bhi) > 0:
-                if diff_sign(bhi, ihi) > 0:
-                    raise StraddlesDiscontinuity(
-                        "tracked interval crosses a discontinuity of the exchange"
-                    )
-                sh = shifts[idx]
-                ilo = (ilo[0] + sh[0], ilo[1] + sh[1])
-                ihi = (ihi[0] + sh[0], ihi[1] + sh[1])
-                name.append("ABC"[idx])
-                placed = True
-                break
-        if not placed:
-            raise StraddlesDiscontinuity("tracked interval escaped the domain")
-        if diff_sign(js, ilo) >= 0 and diff_sign(ihi, je) >= 0:
-            out = tuple(f.num(Fraction(p[0], L), Fraction(p[1], L))
-                        for p in (ilo, ihi))
-            return "".join(name), out
-        if (diff_sign(ilo, js) > 0 and diff_sign(js, ihi) > 0) or (
-                diff_sign(ilo, je) > 0 and diff_sign(je, ihi) > 0):
+    for n, (x, i) in enumerate(coder.forward_points(ilo)):
+        y = (x[0] + w0, x[1] + w1)
+        if n and cmp(y, js) > 0 and cmp(x, je) < 0:  # [x, y) meets J
+            if cmp(x, js) >= 0 and cmp(y, je) <= 0:
+                return "".join(name), (fr.point(x), fr.point(y))
             raise StraddlesDiscontinuity("tracked interval straddles an endpoint of J")
-    raise StepBudgetExceeded(f"return walk exceeded {budget} steps")
+        if n == budget:
+            raise StepBudgetExceeded(f"return walk exceeded {budget} steps")
+        if cmp(y, upper[i]) > 0:
+            raise StraddlesDiscontinuity("tracked interval crosses a discontinuity of the exchange")
+        name.append(LETTERS[i])
 
 
 def _synthesize_with_unit(spec: IetSpec, unit: ScalingUnit,

@@ -8,7 +8,9 @@ membership in Z[e] = Z + eZ a coordinate check and keeps Galois
 conjugation closed-form:  e' = -B/A - e, so  (a + b e)' = (a - bB/A) - b e.
 
 All ordering decisions reduce to the exact sign of an integer expression
-P + Q*sqrt(D); no floating point is ever consulted.
+P + Q*sqrt(D), written once in `_sign_diff`; no floating point is ever
+consulted.  `QuadNum.sign` calls it after clearing denominators; loops
+call it through a `Frame`, which keeps numbers as integer pairs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, partial
+from typing import Tuple
 
 from .errors import (
     DegenerateField,
@@ -30,6 +33,7 @@ from .errors import (
 __all__ = [
     "FieldDesc",
     "QuadNum",
+    "Frame",
     "make_field",
     "sqrt_in_field",
     "denominator",
@@ -76,6 +80,11 @@ class FieldDesc:
     def disc(self) -> int:
         return self.B * self.B - 4 * self.A * self.C
 
+    @cached_property
+    def _surd(self) -> Tuple[int, int, int, int]:
+        """(2A, B, branch, D), the constants of `_sign_diff`."""
+        return (2 * self.A, self.B, self.branch, self.disc)
+
     def zero(self) -> "QuadNum":
         return QuadNum(Fraction(0), Fraction(0), self)
 
@@ -115,6 +124,17 @@ def make_field(A: int, B: int, C: int, branch: int = 1) -> FieldDesc:
     if disc <= 0 or _is_square(disc):
         raise DegenerateField(f"discriminant {disc} gives no real irrational root")
     return FieldDesc(A, B, C, branch)
+
+
+def _sign_diff(k: Tuple[int, int, int, int], p: Tuple[int, int],
+               q: Tuple[int, int]) -> int:
+    """Exact sign of (p0 - q0) + (p1 - q1)*e for integers, with k = field._surd.
+
+    2A*(a + b*e) = (2A*a - B*b) + branch*b*sqrt(D), and make_field makes A > 0.
+    """
+    A2, B, branch, D = k
+    a, b = p[0] - q[0], p[1] - q[1]
+    return sign_of_surd(A2 * a - B * b, branch * b, D)
 
 
 @dataclass(frozen=True)
@@ -222,16 +242,10 @@ class QuadNum:
 
     def sign(self) -> int:
         """Exact sign of the real value a + b*e; -1, 0 or +1."""
-        f = self.field
-        # a + b*e = (2A a - B b + branch * b * sqrt(D)) / (2A), and A > 0
-        d = (self.a.denominator * self.b.denominator) // math.gcd(
-            self.a.denominator, self.b.denominator
-        )
-        an = self.a.numerator * (d // self.a.denominator)
-        bn = self.b.numerator * (d // self.b.denominator)
-        P = 2 * f.A * an - f.B * bn
-        Q = f.branch * bn
-        return sign_of_surd(P, Q, f.disc)
+        a, b = self.a, self.b
+        d = math.lcm(a.denominator, b.denominator)
+        p = (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
+        return _sign_diff(self.field._surd, p, (0, 0))
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
@@ -261,6 +275,8 @@ class QuadNum:
         return NotImplemented
 
     def __hash__(self):
+        if self.b == 0:  # equal to the rational a, so hash like it
+            return hash(self.a)
         return hash((self.a, self.b, self.field))
 
     def __abs__(self):
@@ -322,6 +338,34 @@ class QuadNum:
         return f"QuadNum({self})"
 
 
+class Frame:
+    """Numbers a + b*e as integer pairs (L*a, L*b), with L the common
+    denominator of `xs`.  Pairs add and subtract as integers; `cmp(p, q)`
+    is the exact sign of p - q: -1, 0 or +1 as p <, = or > q.
+    """
+
+    __slots__ = ("field", "L", "cmp")
+
+    def __init__(self, field: FieldDesc, xs):
+        self.field = field
+        self.L = denominator(xs)
+        # bound once so that a comparison in a loop is a single Python call
+        self.cmp = partial(_sign_diff, field._surd)
+
+    def pair(self, x: QuadNum) -> Tuple[int, int]:
+        a, b = self.L * x.a, self.L * x.b
+        if a.denominator != 1 or b.denominator != 1:
+            raise NotInLattice(f"{self.L}*({x}) is not in Z[e]")
+        return (a.numerator, b.numerator)
+
+    def point(self, p: Tuple[int, int]) -> QuadNum:
+        return QuadNum(Fraction(p[0], self.L), Fraction(p[1], self.L), self.field)
+
+    def sign(self, p: Tuple[int, int]) -> int:
+        """Exact sign of the number with pair p."""
+        return self.cmp(p, (0, 0))
+
+
 def sqrt_in_field(field: FieldDesc, n: int) -> QuadNum:
     """The positive square root of the integer n, when it lies in the field.
 
@@ -348,8 +392,7 @@ def denominator(xs) -> int:
     xs = list(xs)
     if not xs:
         raise ValueError("empty list")
-    dens = [d for x in xs for d in (x.a.denominator, x.b.denominator)]
-    return reduce(lambda p, q: p * q // math.gcd(p, q), dens, 1)
+    return math.lcm(*(d for x in xs for d in (x.a.denominator, x.b.denominator)))
 
 
 def class_of(x: QuadNum, q: int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PerfectSquare
+from .errors import InvalidUnit, PerfectSquare
 from .qfield import FieldDesc, QuadNum, class_of
 
 __all__ = ["PellSolution", "ScalingUnit", "solve_pell", "lemma_unit", "class_fixing_power"]
@@ -113,7 +113,8 @@ def class_fixing_power(lambda0: QuadNum, q: int, anchors) -> ScalingUnit:
             y = conj * y
             period += 1
             if period > q * q:
-                raise RuntimeError("class orbit longer than q^2; unit is invalid")
+                raise InvalidUnit(f"class orbit of {anchor} longer than q^2 = {q * q}; "
+                                  f"{lambda0} is not a unit")
         s = s * period // math.gcd(s, period)
     unit = ScalingUnit(lam=lambda0**s, s=s, gamma=lambda0)
     assert unit.is_valid()

@@ -17,12 +17,11 @@ independent cross-checks of the main decision procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import UnknownLetter
 from .iet import IetSpec, OrbitCoder, non_degenerate
 from .invariance import decide, is_sturm
-from .qfield import QuadNum, denominator, sign_of_surd
+from .qfield import Frame, QuadNum
 
 __all__ = ["SturmianSpec", "sturmian_word", "sigma", "sturmian_images_match",
            "yasutomi", "corollary_crosscheck"]
@@ -51,34 +50,26 @@ class SturmianSpec:
 def sturmian_word(spec: SturmianSpec, n: int) -> str:
     """First n letters u_k = round((k+1)a + x0) - round(ka + x0), exactly.
 
-    Runs on integer coordinates: u_k = 1 iff k*a + x0 + a passes the next
-    integer, decided by one exact surd sign per letter.
+    Runs on the integer pairs of a Frame: u_k = 1 iff k*a + x0 + a passes
+    the next integer, decided by one exact comparison per letter.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    f = spec.alpha.field
-    L = denominator([spec.alpha, spec.x0])
-    A, B, D, branch = f.A, f.B, f.disc, f.branch
-
-    def ipair(x: QuadNum):
-        return (int(L * x.a), int(L * x.b))
-
-    al = ipair(spec.alpha)
-    y = ipair(spec.x0)  # current value k*alpha + x0, scaled by L
+    fr = Frame(spec.alpha.field, [spec.alpha, spec.x0])
+    cmp, L, al = fr.cmp, fr.L, fr.pair(spec.alpha)
     strict = spec.rounding == "ceiling"
-    # current rounded value of y; x0 in [0,1) so floor is 0, ceiling is
-    # 1 unless x0 == 0
-    r = 0 if not strict else (1 if spec.x0.sign() > 0 else 0)
+    # y = k*alpha + x0 - r, scaled by L, where r is the current rounded
+    # value; x0 in [0,1) so floor is 0, ceiling is 1 unless x0 == 0
+    y = fr.pair(spec.x0 - 1 if strict and spec.x0.sign() > 0 else spec.x0)
+    # the rounded value advances when floor: y >= 1; ceiling: y > 0
+    # (slope < 1 means at most one advance per step)
+    target = (0, 0) if strict else (L, 0)
     out = []
     for _ in range(n):
         y = (y[0] + al[0], y[1] + al[1])
-        # does the rounded value advance to r+1?  floor: y >= r+1;
-        # ceiling: y > r  (slope < 1 means at most one advance per step)
-        target = r + 1 if not strict else r
-        pa, pb = y[0] - target * L, y[1]
-        s = sign_of_surd(2 * A * pa - B * pb, branch * pb, D)
+        s = cmp(y, target)
         if s > 0 or (s == 0 and not strict):
-            r = r + 1
+            y = (y[0] - L, y[1])
             out.append("1")
         else:
             out.append("0")

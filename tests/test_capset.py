@@ -51,6 +51,20 @@ class TestGeneration:
         start = brute.index(pts[0])
         assert brute[start:start + len(pts)] == pts
 
+    @pytest.mark.parametrize("c", ["-1/2", "0", "-1+e/2", "-e"])
+    def test_full_window_matches_lattice_filter(self, c):
+        """Window length 1 is a valid configuration (the middle gap never
+        occurs), though it is not a valid exchange spec."""
+        full = CapSetConfig(eps=F2.eps(), window_start=parse_quadnum(c, F2),
+                            window_len=F2.one())
+        pts = generate(full, 200, back=150)
+        assert pts[150] == (0, 0)
+        b_vals = [b for _, b in pts]
+        brute = lattice_filter(full, min(b_vals), max(b_vals))
+        start = brute.index(pts[0])
+        assert brute[start:start + len(pts)] == pts
+        assert {gap_class(p, q) for p, q in zip(pts, pts[1:])} == {"D1", "D2"}
+
     def test_star_images_are_orbit_of_zero(self, cfg):
         spec = make_spec(cfg.eps, cfg.window_len, cfg.window_start)
         pts = generate(cfg, 500)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import iet3.invariance
 from iet3.cli import main
 
 WORKED = ["--field", "1,2,-1,+", "--eps", "e", "--l", "1/2+1/2*e",
@@ -146,3 +147,62 @@ class TestSweep:
                           "--output", str(dest)], capsys)
         assert code == 0
         assert json.loads(dest.read_text())["verdict"] == "Invariant"
+
+    def test_bad_line_does_not_stop_batch(self, tmp_path, capsys):
+        valid = {"field": [1, 2, -1, 1], "eps": "e", "l": "1/2+1/2*e", "c": "-1/2*e"}
+        lines = [valid, dict(valid, l="3/2"), valid]
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
+        code, out, err = run(["sweep", "--input", str(path)], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(records) == 3
+        assert [r.get("verdict") for r in records] == ["Invariant", None, "Invariant"]
+        assert records[1]["input"] == lines[1] and "error" in records[1]
+
+    def test_unreadable_lines_get_records(self, tmp_path, capsys):
+        valid = json.dumps({"field": [1, 2, -1, 1], "eps": "e",
+                            "l": "1/2+1/2*e", "c": "-1/2*e"})
+        bad = ["{not json", json.dumps({"eps": "e"}), json.dumps([1, 2]),
+               json.dumps({"field": [1, 2], "eps": "e", "l": "1", "c": "0"})]
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(bad + [valid]) + "\n")
+        code, out, _ = run(["sweep", "--input", str(path)], capsys)
+        assert code == 2
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(records) == 5
+        assert all("error" in r for r in records[:4])
+        assert records[0]["input"] == "{not json"
+        assert records[4]["verdict"] == "Invariant"
+
+    def test_field_as_report_object(self, tmp_path, capsys):
+        """The {A, B, C, branch} object that reports write is accepted too."""
+        _, out, _ = run(["decide", "--format", "json", *WORKED], capsys)
+        report = json.loads(out)
+        line = {k: report[k] for k in ("field", "eps", "l", "c")}
+        assert isinstance(line["field"], dict)
+        path = tmp_path / "in.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        code, out, _ = run(["sweep", "--input", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["substitution"] == report["substitution"]
+
+
+class TestErrors:
+    @pytest.mark.parametrize("budget", ["abc", "0", "-5"])
+    def test_malformed_step_budget(self, monkeypatch, capsys, budget):
+        monkeypatch.setenv("IET3_STEP_BUDGET", budget)
+        code, _, err = run(["decide", *WORKED], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "IET3_STEP_BUDGET" in err
+        assert "Traceback" not in err
+
+    def test_unit_without_class_cycle(self, monkeypatch, capsys):
+        """A scaling candidate that does not permute the residue classes
+        (here the non-unit 2) is reported, not raised as a traceback."""
+        monkeypatch.setattr(iet3.invariance, "lemma_unit", lambda f: f.rational(2))
+        code, _, err = run(["decide", *WORKED], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "class orbit" in err
+        assert "Traceback" not in err

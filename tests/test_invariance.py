@@ -10,7 +10,8 @@ from iet3 import (ancestor, check_block_starts, check_lemma_ancestor,
                   code_orbit, decide, is_sturm, make_field, make_spec,
                   parse_quadnum, reduce_by_reversal, step, synthesize,
                   Substitution)
-from iet3.errors import NotApplicable, StepBudgetExceeded
+from iet3.errors import (InvalidStepBudget, NotApplicable, OutOfDomain,
+                         StepBudgetExceeded)
 
 F2 = make_field(1, 2, -1, 1)
 F5R = make_field(1, -3, 1, -1)  # eps = (3-sqrt5)/2, conjugate > 1
@@ -87,11 +88,27 @@ class TestSynthesize:
 
     def test_block_starts(self, spec, report):
         assert check_block_starts(spec, report.unit, report.substitution, 1000)
+        with pytest.raises(ValueError):  # an empty window would check nothing
+            check_block_starts(spec, report.unit, report.substitution, 0)
 
     def test_block_starts_reject_wrong_substitution(self, spec, report):
         wrong = Substitution(("A", "B", "C"),
                              {"A": "BBCAC", "B": "BCAC", "C": "BBCBBCAC"})
         assert not check_block_starts(spec, report.unit, wrong, 300)
+
+    def test_block_starts_reject_reordered_image(self, spec, report):
+        """Image lengths alone do not pass: the B image reversed keeps
+        every block start but not the word inside the blocks."""
+        images = dict(report.substitution.images)
+        images["B"] = images["B"][::-1]
+        wrong = Substitution(("A", "B", "C"), images)
+        assert not check_block_starts(spec, report.unit, wrong, 1000)
+
+    @pytest.mark.parametrize("budget", ["abc", "0"])
+    def test_malformed_budget_is_a_library_error(self, monkeypatch, spec, budget):
+        monkeypatch.setenv("IET3_STEP_BUDGET", budget)
+        with pytest.raises(InvalidStepBudget):
+            synthesize(spec)
 
     def test_budget_exhaustion_surfaces(self, monkeypatch):
         """A denominator that forces a huge scaling power fails fast with
@@ -110,6 +127,13 @@ class TestAncestor:
         for z0 in (spec.d1, spec.d2):
             anc = ancestor(spec, j_start, j_end, z0)
             assert anc == conj * z0
+
+    def test_outside_domain_rejected(self, spec, report):
+        conj = report.unit.lam_conj
+        j_start, j_end = conj * spec.c, conj * spec.end
+        for z0 in (spec.end, spec.c - F2.num(0, Fraction(1, 2))):
+            with pytest.raises(OutOfDomain):
+                ancestor(spec, j_start, j_end, z0)
 
     def test_lemma_equivalence_on_orbit(self, spec, report):
         z = F2.zero()

@@ -2,15 +2,18 @@
 conjugation, exact signs against a high-precision integer oracle, parsing
 and printing, floors, and lattice classes."""
 
+import re
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iet3
 from iet3 import make_field, parse_quadnum, sqrt_in_field
-from iet3.qfield import class_of, denominator, sign_of_surd
+from iet3.qfield import Frame, class_of, denominator, sign_of_surd
 from iet3.errors import (DegenerateField, NoSquareRoot, NotInLattice,
                          ParseError)
 
@@ -106,6 +109,83 @@ class TestArithmetic:
         assert F2.eps().sign() == 1
         assert (F2.eps() - 1).sign() == -1
         assert F2.zero().sign() == 0
+
+    def test_rational_hash_agrees_with_equality(self):
+        assert F2.one() == 1
+        assert 1 in {F2.one()}
+        assert F2.one() in {1}
+        half = Fraction(1, 2)
+        assert hash(F2.rational(half)) == hash(half)
+        assert {F2.rational(half), half} == {half}
+
+
+KERNEL_FIELDS = [F2, F5, make_field(8, -8, 1, -1), make_field(1, -3, 1, -1)]
+
+
+def bracket_sign(f, p: int, q: int) -> int:
+    """Sign of p + q*e found without the surd formula: sqrt(D) lies between
+    isqrt(D*4^k)/2^k and that value + 1/2^k, and k grows until the
+    resulting bracket of p + q*e excludes 0."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    k = 0
+    while True:
+        r = isqrt(f.disc * 4**k)
+        ends = [p + q * (-f.B + f.branch * Fraction(s, 2**k)) / (2 * f.A)
+                for s in (r, r + 1)]
+        if min(ends) > 0:
+            return 1
+        if max(ends) < 0:
+            return -1
+        k += 1
+
+
+@st.composite
+def kernel_pairs(draw):
+    """A field and two integer pairs whose difference is often within a
+    few units of 0, where the surd sign has to square."""
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    q = draw(st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30)))
+    b = draw(st.integers(-10**30, 10**30))
+    if draw(st.booleans()):
+        # nearest integer to -b*e, so p - q = a + b*e is close to 0
+        k = 128
+        e_scaled = -f.B * 2**k + f.branch * isqrt(f.disc * 4**k)
+        a = -(b * e_scaled) // (2 * f.A * 2**k) + draw(st.integers(-2, 2))
+    else:
+        a = draw(st.integers(-10**30, 10**30))
+    return f, (q[0] + a, q[1] + b), q
+
+
+class TestFrame:
+    @given(case=kernel_pairs())
+    def test_signs_match_bracketing(self, case):
+        f, p, q = case
+        frame = Frame(f, [f.num(Fraction(1, 6), Fraction(-5, 4))])
+        assert frame.sign(p) == bracket_sign(f, *p)
+        assert frame.cmp(p, q) == bracket_sign(f, p[0] - q[0], p[1] - q[1])
+
+    @given(x=qnum(F2))
+    def test_pair_point_round_trip(self, x):
+        frame = Frame(F2, [x, F2.num(Fraction(1, 3), 0)])
+        p = frame.pair(x)
+        assert frame.point(p) == x
+        assert frame.sign(p) == x.sign()
+
+    def test_pair_rejects_number_outside_frame(self):
+        frame = Frame(F2, [F2.num(Fraction(1, 2), 0)])
+        assert frame.L == 2
+        with pytest.raises(NotInLattice):
+            frame.pair(F2.num(Fraction(1, 3), 0))
+
+    def test_single_surd_kernel(self):
+        """Only qfield calls sign_of_surd; no module rebuilds the old
+        per-caller scaling helpers."""
+        for path in sorted(Path(iet3.__file__).parent.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            if path.name != "qfield.py":
+                assert "sign_of_surd(" not in text, path.name
+            assert not re.search(r"\b(ipair|diff_sign)\b", text), path.name
 
 
 class TestSignOfSurd:

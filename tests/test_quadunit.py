@@ -9,7 +9,7 @@ import pytest
 from iet3 import make_field, make_spec, solve_pell
 from iet3.qfield import class_of
 from iet3.quadunit import PellSolution, ScalingUnit, class_fixing_power, lemma_unit
-from iet3.errors import PerfectSquare
+from iet3.errors import InvalidUnit, PerfectSquare
 
 UNIT_FIELDS = {
     5: (1, 1, -1, 1),
@@ -102,3 +102,10 @@ class TestClassFixingPower:
         assert unit.is_valid()
         for a in anchors:
             assert class_of(unit.lam * a, q) == class_of(a, q)
+
+    def test_non_unit_rejected(self):
+        """2 is not a unit: it sends the class of -e/2 mod Z[e] to 0 for
+        good, so the class never comes back."""
+        f = make_field(1, 2, -1, 1)
+        with pytest.raises(InvalidUnit):
+            class_fixing_power(f.rational(2), 2, [f.num(0, Fraction(-1, 2))])
