@@ -21,16 +21,19 @@ from .substitution import Substitution, complexity
 
 __all__ = ["main", "build_parser", "report_to_json"]
 
+# bad input: malformed text or JSON, a missing key, a JSON value of the wrong type
+_INPUT_ERRORS = (Iet3Error, ValueError, KeyError, TypeError)
+
 
 def _parse_field(text: str) -> FieldDesc:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (3, 4):
         raise ValueError("--field expects A,B,C[,branch]")
     a, b, c = (int(p) for p in parts[:3])
-    branch = 1
-    if len(parts) == 4:
-        branch = {"+": 1, "-": -1, "1": 1, "-1": -1}[parts[3]]
-    return make_field(a, b, c, branch)
+    branches = {"+": 1, "-": -1, "1": 1, "-1": -1}
+    if len(parts) == 4 and parts[3] not in branches:
+        raise ValueError(f"--field branch must be one of + - 1 -1, got {parts[3]!r}")
+    return make_field(a, b, c, branches[parts[3]] if len(parts) == 4 else 1)
 
 
 def _spec_from_args(args) -> IetSpec:
@@ -240,9 +243,7 @@ def _cmd_sweep(args, out) -> int:
                 data = json.loads(line)
                 report = decide(_spec_from_json(data), radius=args.radius)
                 record = report_to_json(report)
-            # a bad line: malformed JSON is a ValueError, a value of the
-            # wrong JSON type a TypeError
-            except (Iet3Error, ValueError, KeyError, TypeError) as exc:
+            except _INPUT_ERRORS as exc:
                 record = {"error": str(exc), "input": data}
                 status = 2
             json.dump(record, out)
@@ -263,17 +264,15 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
     }
     out = sys.stdout
-    close = False
-    if getattr(args, "output", None):
-        out = open(args.output, "w")
-        close = True
     try:
+        if getattr(args, "output", None):
+            out = open(args.output, "w")
         return handlers[args.command](args, out)
-    except (Iet3Error, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (*_INPUT_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if close:
+        if out is not sys.stdout:
             out.close()
 
 

@@ -9,9 +9,10 @@ translating the interval and recording visited letters both computes the
 images and proves their correctness (a straddled discontinuity aborts the
 walk instead of being split).
 
-The walk, the ancestor search and the block-start check run on the
-integer points of an `iet.OrbitCoder` whose frame also holds the
-lam'-scaled numbers they compare with.
+The three walks of a unit share one `iet.OrbitCoder`; they, the ancestor
+search and the block-start check run on its integer points, in a frame
+that also holds the lam'-scaled numbers they compare with.  The block
+cut is `Substitution.block_starts`, the one `verify_fixed_point` makes.
 """
 
 from __future__ import annotations
@@ -137,11 +138,10 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
     """Are the block starts of the substitution decomposition exactly the
     orbit points falling in J = lam' * [c, c+l)?
 
-    The two-sided word is cut into blocks sub(u_m) aligned at position 0.
-    True iff, for every n in (-window, window), the blocks spell the
-    orbit word u_n, T^n(0) lies in J exactly when a block starts at n,
-    and the started letter names the scaled subinterval lam' * I_i
-    containing the point.
+    True iff, for every n in (-window, window), the blocks sub(u_m) of
+    `Substitution.block_starts` spell the orbit word u_n, T^n(0) lies in J
+    exactly when a block starts at n, and the started letter names the
+    scaled subinterval lam' * I_i containing the point.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
@@ -151,23 +151,12 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
     cmp = coder.frame.cmp
     # J = [cuts[0], cuts[3]) and lam' * I_i = [cuts[i], cuts[i+1])
     cuts = [coder.frame.pair(x) for x in scaled]
-    mirrored = {a: w[::-1] for a, w in sub.images.items()}
-    # Each side is read away from 0: u_0, u_1, ... with the images, then
-    # u_-1, u_-2, ... with the mirrored images, where a block starts at
-    # the last letter read.
-    for points, images, back in ((islice(coder.forward_points(), window), sub.images, 0),
-                                 (islice(coder.backward_points(), window - 1), mirrored, 1)):
+    for points, back in ((islice(coder.forward_points(), window), False),
+                         (islice(coder.backward_points(), window - 1), True)):
         points = list(points)
-        word = "".join(LETTERS[i] for _x, i in points)
-        starts, pos = {}, 0
-        for letter in word:
-            if pos >= len(word):
-                break
-            img = images[letter]
-            if word[pos:pos + len(img)] != img[:len(word) - pos]:
-                return False
-            starts[pos + back * (len(img) - 1)] = letter
-            pos += len(img)
+        starts = sub.block_starts("".join(LETTERS[i] for _x, i in points), back)
+        if starts is None:
+            return False
         for k, (x, _i) in enumerate(points):
             in_j = cmp(x, cuts[0]) >= 0 and cmp(x, cuts[3]) < 0
             if in_j != (k in starts):
@@ -179,28 +168,24 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
     return True
 
 
-def _walk_interval(spec: IetSpec, lo: QuadNum, hi: QuadNum,
-                   j_start: QuadNum, j_end: QuadNum, budget: int):
-    """Track [lo, hi) through the exchange until it returns inside J.
+def _walk_interval(coder: OrbitCoder, lo, hi, js, je, budget: int):
+    """Track [lo, hi) through the exchange until it returns inside J = [js, je).
 
-    The interval moves rigidly, so the walk follows the orbit of lo on
-    the integer pairs of an OrbitCoder (whose frame also holds hi and J)
-    and keeps hi at the fixed offset hi - lo.
+    All four are pairs of `coder.frame`.  The interval moves rigidly, so
+    the walk follows the orbit of lo and keeps hi at the fixed offset
+    hi - lo.  Returns the return word and the landing pair (x, y).
     """
-    coder = OrbitCoder(spec, (j_start, j_end, lo, hi))
-    fr = coder.frame
-    cmp = fr.cmp
-    js, je, ilo, ihi = (fr.pair(x) for x in (j_start, j_end, lo, hi))
-    w0, w1 = ihi[0] - ilo[0], ihi[1] - ilo[1]
-    if cmp(ilo, coder.c) < 0 or cmp(ilo, coder.end) >= 0:
+    cmp = coder.frame.cmp
+    w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
+    if cmp(lo, coder.c) < 0 or cmp(lo, coder.end) >= 0:
         raise StraddlesDiscontinuity("tracked interval escaped the domain")
     upper = (coder.d1, coder.d2, coder.end)  # right ends of I1, I2, I3
     name = []
-    for n, (x, i) in enumerate(coder.forward_points(ilo)):
+    for n, (x, i) in enumerate(coder.forward_points(lo)):
         y = (x[0] + w0, x[1] + w1)
         if n and cmp(y, js) > 0 and cmp(x, je) < 0:  # [x, y) meets J
             if cmp(x, js) >= 0 and cmp(y, je) <= 0:
-                return "".join(name), (fr.point(x), fr.point(y))
+                return "".join(name), (x, y)
             raise StraddlesDiscontinuity("tracked interval straddles an endpoint of J")
         if n == budget:
             raise StepBudgetExceeded(f"return walk exceeded {budget} steps")
@@ -212,20 +197,22 @@ def _walk_interval(spec: IetSpec, lo: QuadNum, hi: QuadNum,
 def _synthesize_with_unit(spec: IetSpec, unit: ScalingUnit,
                           budget: int) -> Tuple[ReturnSystem, Substitution]:
     conj = unit.lam_conj
-    j_start, j_end = conj * spec.c, conj * spec.end
-    pieces = tuple((conj * lo, conj * hi) for lo, hi in spec.subintervals())
-    shifts = spec.shifts()
+    # lam' * (c, d1, d2, c+l, c+l-eps, c+1-eps): K_i = lam' * I_i returns
+    # to J, and homothety asks that it lands on lam' * T(I_i), where
+    # T(I3), T(I2), T(I1) tile [c, c+l) at the last two cuts
+    scaled = [conj * x for x in (spec.c, spec.d1, spec.d2, spec.end,
+                                 spec.end - spec.eps, spec.c + 1 - spec.eps)]
+    coder = OrbitCoder(spec, scaled)
+    c, d1, d2, end, b1, b2 = (coder.frame.pair(x) for x in scaled)
     names: List[str] = []
     homothety_ok = True
-    for idx, (lo, hi) in enumerate(pieces):
-        name, landed = _walk_interval(spec, lo, hi, j_start, j_end, budget)
+    for lo, hi, landing in ((c, d1, (b2, end)), (d1, d2, (b1, b2)), (d2, end, (c, b1))):
+        name, landed = _walk_interval(coder, lo, hi, c, end, budget)
         names.append(name)
-        expected = (conj * (spec.subintervals()[idx][0] + shifts[idx]),
-                    conj * (spec.subintervals()[idx][1] + shifts[idx]))
-        if landed != expected:
-            homothety_ok = False
+        homothety_ok = homothety_ok and landed == landing
     sub = Substitution(("A", "B", "C"), dict(zip("ABC", names)))
-    ret = ReturnSystem(j_start, j_end, pieces, tuple(names), homothety_ok)
+    ret = ReturnSystem(scaled[0], scaled[3], tuple(zip(scaled[:3], scaled[1:4])),
+                       tuple(names), homothety_ok)
     return ret, sub
 
 

@@ -496,7 +496,10 @@ class _Parser:
 def parse_quadnum(text: str, field: FieldDesc) -> QuadNum:
     """Parse an exact expression like "1/2 - 3/2*e" or "(1-sqrt(2))/2"."""
     parser = _Parser(_tokenize(text), field)
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except (ZeroDivisionError, RecursionError) as exc:  # 1/0, or nesting too deep
+        raise ParseError(f"cannot evaluate {text[:40]!r}: {exc}") from None
     if parser.peek() is not None:
         raise ParseError(f"trailing input {parser.tokens[parser.pos:]!r}")
     return value

@@ -17,6 +17,7 @@ independent cross-checks of the main decision procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import UnknownLetter
 from .iet import IetSpec, OrbitCoder, non_degenerate
@@ -95,17 +96,8 @@ def sturmian_images_match(spec3: IetSpec, radius: int) -> bool:
     """Do the sigma images of the exchange word equal the predicted
     Sturmian words (slope 1-eps, intercept -c mod 1; slope 1-eps,
     intercept -(l+c) mod 1) over `radius` letters of the images?"""
-    if radius == 0:
-        return True
-    coder = OrbitCoder(spec3)
-    gen = coder.forward()
-    prefix = []
-    length = 0
-    while length < radius:
-        ch = next(gen)
-        prefix.append(ch)
-        length += 2 if ch == "B" else 1
-    word = "".join(prefix)
+    # each sigma image has one or two letters, so radius letters suffice
+    word = "".join(islice(OrbitCoder(spec3).forward(), radius))
     eps, one = spec3.eps, spec3.field.one()
     expected01 = sturmian_word(SturmianSpec(one - eps, _frac(-spec3.c)), radius)
     expected10 = sturmian_word(SturmianSpec(one - eps, _frac(-(spec3.l + spec3.c))), radius)

@@ -6,14 +6,20 @@ of letter i (row per source letter).  Under this convention the column
 vector (1-eps, 1-2*eps, -eps) is a right eigenvector of N for the small
 conjugate of the scaling unit, which is the identity every synthesis
 result is checked against.
+
+`Substitution.block_starts` is the one place that cuts an orbit word into
+the blocks phi(u_m) aligned at 0; `verify_fixed_point` and
+`invariance.check_block_starts` both run on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NoSquareRoot, UnknownLetter
+from .iet import OrbitCoder
 from .qfield import FieldDesc, QuadNum, sqrt_in_field
 
 __all__ = ["Substitution", "complexity", "count_factors"]
@@ -123,37 +129,37 @@ class Substitution:
 
     # -- fixed point ----------------------------------------------------------
 
-    def verify_fixed_point(self, spec, radius: int) -> bool:
-        """Does the orbit word of `spec` decompose into images aligned at 0?
+    def block_starts(self, word: str, back: bool = False) -> Optional[Dict[int, str]]:
+        """Cut `word` = u_0 u_1 ... into the blocks phi(u_0) phi(u_1) ...
 
-        Checks that phi(u_0) phi(u_1) ... is a prefix of u_0 u_1 ... and
-        phi(u_-1), phi(u_-2), ... stack up to the suffix ending at -1, as
-        far as whole images fit within +-radius.
+        Returns {start of the block of u_m: u_m}, or None when the blocks
+        do not spell `word`; the last block is compared as far as `word`
+        reaches.  With back=True `word` is u_-1 u_-2 ..., the blocks are the
+        mirrored images, and a block starts at its last letter read.
         """
-        from .iet import OrbitCoder  # local import to avoid a cycle
+        images = {a: w[::-1] for a, w in self.images.items()} if back else self.images
+        starts, pos = {}, 0
+        for letter in word:
+            if pos >= len(word):
+                break
+            img = images[letter]
+            if word[pos:pos + len(img)] != img[:len(word) - pos]:
+                return None
+            starts[pos + len(img) - 1 if back else pos] = letter
+            pos += len(img)
+        return starts
 
+    def verify_fixed_point(self, spec, radius: int) -> bool:
+        """Is the orbit word of `spec` the fixed point of phi aligned at 0?
+
+        True iff the blocks of `block_starts` spell u_0 ... u_{radius-1} and
+        u_-1 ... u_-radius, so every one of the 2*radius letters is checked.
+        """
+        if radius < 1:
+            raise ValueError("radius must be at least 1")
         coder = OrbitCoder(spec)
-        fwd_gen = coder.forward()
-        fwd = "".join(next(fwd_gen) for _ in range(radius))
-        pos = 0
-        for ch in fwd:
-            img = self.images[ch]
-            if pos + len(img) > radius:
-                break
-            if fwd[pos : pos + len(img)] != img:
-                return False
-            pos += len(img)
-        bwd_gen = coder.backward()
-        bwd = "".join(next(bwd_gen) for _ in range(radius))  # u_-1, u_-2, ...
-        pos = 0
-        for ch in bwd:
-            img = self.images[ch]
-            if pos + len(img) > radius:
-                break
-            if bwd[pos : pos + len(img)] != img[::-1]:
-                return False
-            pos += len(img)
-        return True
+        return all(self.block_starts("".join(islice(letters, radius)), back) is not None
+                   for letters, back in ((coder.forward(), False), (coder.backward(), True)))
 
     # -- serialization --------------------------------------------------------
 

@@ -206,3 +206,27 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: ") and "class orbit" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, edit, needle", [
+        (["decide", *WORKED, "--eps", "1/0"], None, "division by zero"),
+        (["decide", *WORKED, "--eps", "(" * 3000 + "e" + ")" * 3000], None, "recursion"),
+        (["decide", *WORKED, "--field", "1,2,-1,x"], None, "+ - 1 -1"),
+        (["decide", *WORKED, "--output", "{tmp}/missing/out.txt"], None, "missing"),
+        (["decide", *WORKED, "--radius", "0"], None, "radius"),
+        (["verify", "--report", "{tmp}/r.json", "--radius", "0"], lambda d: d, "radius"),
+        (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, substitution=5), ""),
+        (["verify", "--report", "{tmp}/r.json"], lambda d: {**d, "lambda": 5}, ""),
+        (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, field="1,2,-1"), ""),
+        (["verify", "--report", "{tmp}/r.json"], lambda d: [d], ""),
+    ], ids=["eps-1/0", "eps-nested", "field-branch", "output-dir", "decide-radius-0",
+            "verify-radius-0", "substitution-int", "lambda-int", "field-str", "report-list"])
+    def test_bad_input_exits_two(self, tmp_path, capsys, argv, edit, needle):
+        """Bad input exits 2 with one error line and no traceback; a zero
+        radius is refused, not passed without comparing a letter."""
+        if edit is not None:
+            _, out, _ = run(["decide", "--format", "json", *WORKED], capsys)
+            (tmp_path / "r.json").write_text(json.dumps(edit(json.loads(out))))
+        code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and needle in err
+        assert "fixed_point" not in out

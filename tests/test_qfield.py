@@ -219,7 +219,8 @@ class TestParsePrint:
         assert parse_quadnum("2 - e", f) == f.num(2, -1)
 
     def test_parse_errors(self):
-        for bad in ["", "1+", "x", "1//2", "sqrt(", "(1"]:
+        for bad in ["", "1+", "x", "1//2", "sqrt(", "(1", "1/0", "e/(e-e)",
+                    "(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"]:
             with pytest.raises(ParseError):
                 parse_quadnum(bad, F2)
 

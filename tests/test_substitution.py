@@ -108,6 +108,25 @@ class TestFixedPoint:
             bad = Substitution(("A", "B", "C"), images)
             assert not bad.verify_fixed_point(spec, 200)
 
+    def test_images_longer_than_radius(self, spec):
+        """Every image of phi^4 is longer than the radius, so only the
+        partial first block on each side is there to compare."""
+        phi4 = WORKED.power(4)
+        assert phi4.verify_fixed_point(spec, 100)
+        assert not phi4.reversed_images().verify_fixed_point(spec, 100)
+
+    def test_radius_must_be_positive(self, spec):
+        with pytest.raises(ValueError):
+            WORKED.verify_fixed_point(spec, 0)
+
+    def test_block_starts(self, spec):
+        fwd = code_orbit(spec, 0, 20)  # BBCBBCAC BBCBBCAC BCAC
+        assert WORKED.block_starts(fwd) == {0: "B", 8: "B", 16: "C"}
+        assert WORKED.block_starts(fwd[:10]) == {0: "B", 8: "B"}
+        bwd = code_orbit(spec, -9, 0)[::-1]  # u_-1 ... u_-9
+        assert WORKED.block_starts(bwd, back=True) == {3: "C", 8: "A"}
+        assert WORKED.block_starts("C" + fwd[1:]) is None
+
     def test_fibonacci_fixed_point(self):
         fib = Substitution(("0", "1"), {"0": "01", "1": "0"})
         w = "0"
