@@ -47,14 +47,28 @@ def _spec_from_args(args) -> IetSpec:
     return make_spec(*(parse_quadnum(text, field) for text in (args.eps, args.l, args.c)))
 
 
+def _json_value(data: dict, key: str, *kinds):
+    """data[key], of one of the types `kinds`, or a ValueError naming the key."""
+    if key not in data:
+        raise ValueError(f"missing key {key!r}")
+    if not isinstance(data[key], kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{key!r} must be {names}, not {type(data[key]).__name__}")
+    return data[key]
+
+
 def _spec_from_json(data) -> IetSpec:
     """The spec of a sweep line or a stored report, whose `field` is either
     [A, B, C(, branch)] or the {A, B, C, branch} object of report_to_json."""
-    field = data["field"]
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, not {type(data).__name__}")
+    field = _json_value(data, "field", list, dict)
     if isinstance(field, dict):
-        field = [field["A"], field["B"], field["C"], field.get("branch", 1)]
+        field = [field.get(k) for k in "ABC"] + [field.get("branch", 1)]
+    if len(field) not in (3, 4) or not all(isinstance(x, int) for x in field):
+        raise ValueError(f"'field' must hold the integers A, B, C[, branch], not {json.dumps(field)}")
     f = make_field(*field)
-    return make_spec(*(parse_quadnum(data[key], f) for key in ("eps", "l", "c")))
+    return make_spec(*(parse_quadnum(_json_value(data, key, str), f) for key in ("eps", "l", "c")))
 
 
 def _num_json(x: QuadNum) -> dict:
@@ -196,8 +210,8 @@ def _cmd_verify(args, out) -> int:
     with open(args.report) as handle:
         data = json.load(handle)
     spec = _spec_from_json(data)
-    sub = Substitution(("A", "B", "C"), dict(data["substitution"]))
-    lam = parse_quadnum(data["lambda"], spec.field)
+    sub = Substitution(("A", "B", "C"), _json_value(data, "substitution", dict))
+    lam = parse_quadnum(_json_value(data, "lambda", str), spec.field)
     ok_fix = sub.verify_fixed_point(spec, args.radius)
     ok_eig = sub.check_eigenvector(spec.eps, lam)
     print(f"fixed_point: {ok_fix}", file=out)

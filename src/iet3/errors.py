@@ -57,8 +57,8 @@ class StepBudgetExceeded(Iet3Error):
     """An orbit walk ran past its safety cap."""
 
 
-class InvalidStepBudget(Iet3Error):
-    """IET3_STEP_BUDGET is not a positive integer."""
+class WitnessRejected(Iet3Error):
+    """A synthesized witness fails one of the checks that verify it."""
 
 
 class InvalidUnit(Iet3Error):

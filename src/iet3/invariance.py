@@ -7,9 +7,10 @@ subintervals of J = lam' * [c, c+l) through the exchange until they
 return to J: all points of a tracked interval share one return name, so
 translating the interval and recording visited letters both computes the
 images and proves their correctness (a straddled discontinuity aborts the
-walk instead of being split).
+walk instead of being split).  J is scaled by the one unit `synthesize`
+derives from c and c+l; every orbit walk stops after `STEP_BUDGET` steps.
 
-The three walks of a unit share one `iet.OrbitCoder`; they, the ancestor
+The three walks share one `iet.OrbitCoder`; they, the ancestor
 search and the block-start check run on its integer points, in a frame
 that also holds the lam'-scaled numbers they compare with.  The block
 cut is `Substitution.block_starts`, the one `verify_fixed_point` makes.
@@ -17,14 +18,12 @@ cut is `Substitution.block_starts`, the one `verify_fixed_point` makes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .errors import (InvalidStepBudget, NotApplicable, OutOfDomain,
-                     StepBudgetExceeded, StraddlesDiscontinuity)
+from .errors import (NotApplicable, OutOfDomain, StepBudgetExceeded,
+                     StraddlesDiscontinuity, WitnessRejected)
 from .iet import LETTERS, IetSpec, OrbitCoder, make_spec, step
 from .qfield import QuadNum, denominator
 from .quadunit import ScalingUnit, class_fixing_power, lemma_unit
@@ -42,15 +41,8 @@ __all__ = [
     "reduce_by_reversal",
 ]
 
-DEFAULT_STEP_BUDGET = 10**6
+STEP_BUDGET = 10**6  # cap on the steps of one orbit walk
 _REVERSAL_SWAP = {"A": "C", "B": "B", "C": "A"}
-
-
-def _step_budget() -> int:
-    text = os.environ.get("IET3_STEP_BUDGET", str(DEFAULT_STEP_BUDGET))
-    if not (text.strip().isdecimal() and int(text) > 0):
-        raise InvalidStepBudget(f"IET3_STEP_BUDGET must be a positive integer, got {text!r}")
-    return int(text)
 
 
 @dataclass(frozen=True)
@@ -99,25 +91,23 @@ def reduce_by_reversal(spec: IetSpec) -> IetSpec:
     return make_spec(spec.field.one() - spec.eps, spec.l, spec.c)
 
 
-def ancestor(spec: IetSpec, j_start: QuadNum, j_end: QuadNum, z0: QuadNum,
-             budget: Optional[int] = None) -> QuadNum:
+def ancestor(spec: IetSpec, j_start: QuadNum, j_end: QuadNum, z0: QuadNum) -> QuadNum:
     """The point of [j_start, j_end) whose return block contains z0.
 
     Found by backward iteration; the first backward hit of J is the
     ancestor because the forward path from it to z0 avoids J.
     """
-    budget = budget if budget is not None else _step_budget()
     if not spec.contains(z0):
         raise OutOfDomain(f"{z0} not in [{spec.c}, {spec.end})")
     coder = OrbitCoder(spec, (j_start, j_end, z0))
     fr = coder.frame
     js, je, z = fr.pair(j_start), fr.pair(j_end), fr.pair(z0)
     back = coder.backward_points(z)
-    for _ in range(budget):
+    for _ in range(STEP_BUDGET):
         if fr.cmp(z, js) >= 0 and fr.cmp(z, je) < 0:
             return fr.point(z)
         z, _letter = next(back)
-    raise StepBudgetExceeded(f"no ancestor of {z0} found within {budget} steps")
+    raise StepBudgetExceeded(f"no ancestor of {z0} found within {STEP_BUDGET} steps")
 
 
 def check_lemma_ancestor(spec: IetSpec, unit: ScalingUnit, z0: QuadNum) -> bool:
@@ -168,7 +158,7 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
     return True
 
 
-def _walk_interval(coder: OrbitCoder, lo, hi, js, je, budget: int):
+def _walk_interval(coder: OrbitCoder, lo, hi, js, je):
     """Track [lo, hi) through the exchange until it returns inside J = [js, je).
 
     All four are pairs of `coder.frame`.  The interval moves rigidly, so
@@ -187,15 +177,14 @@ def _walk_interval(coder: OrbitCoder, lo, hi, js, je, budget: int):
             if cmp(x, js) >= 0 and cmp(y, je) <= 0:
                 return "".join(name), (x, y)
             raise StraddlesDiscontinuity("tracked interval straddles an endpoint of J")
-        if n == budget:
-            raise StepBudgetExceeded(f"return walk exceeded {budget} steps")
+        if n == STEP_BUDGET:
+            raise StepBudgetExceeded(f"return walk exceeded {STEP_BUDGET} steps")
         if cmp(y, upper[i]) > 0:
             raise StraddlesDiscontinuity("tracked interval crosses a discontinuity of the exchange")
         name.append(LETTERS[i])
 
 
-def _synthesize_with_unit(spec: IetSpec, unit: ScalingUnit,
-                          budget: int) -> Tuple[ReturnSystem, Substitution]:
+def _synthesize_with_unit(spec: IetSpec, unit: ScalingUnit) -> Tuple[ReturnSystem, Substitution]:
     conj = unit.lam_conj
     # lam' * (c, d1, d2, c+l, c+l-eps, c+1-eps): K_i = lam' * I_i returns
     # to J, and homothety asks that it lands on lam' * T(I_i), where
@@ -204,75 +193,39 @@ def _synthesize_with_unit(spec: IetSpec, unit: ScalingUnit,
                                  spec.end - spec.eps, spec.c + 1 - spec.eps)]
     coder = OrbitCoder(spec, scaled)
     c, d1, d2, end, b1, b2 = (coder.frame.pair(x) for x in scaled)
-    names: List[str] = []
-    homothety_ok = True
-    for lo, hi, landing in ((c, d1, (b2, end)), (d1, d2, (b1, b2)), (d2, end, (c, b1))):
-        name, landed = _walk_interval(coder, lo, hi, c, end, budget)
-        names.append(name)
-        homothety_ok = homothety_ok and landed == landing
+    names, landed = zip(*(_walk_interval(coder, lo, hi, c, end)
+                          for lo, hi in ((c, d1), (d1, d2), (d2, end))))
     sub = Substitution(("A", "B", "C"), dict(zip("ABC", names)))
     ret = ReturnSystem(scaled[0], scaled[3], tuple(zip(scaled[:3], scaled[1:4])),
-                       tuple(names), homothety_ok)
+                       names, landed == ((b2, end), (b1, b2), (c, b1)))
     return ret, sub
-
-
-def _unit_ladder(spec: IetSpec):
-    """Candidate scaling units: d'-power first, then doubled, then full d."""
-    field = spec.field
-    lam0 = lemma_unit(field)
-    q = denominator([spec.c, spec.end])
-    anchors = [spec.c, spec.end]
-    base = class_fixing_power(lam0, q, anchors)
-    yield base
-    s = base.s * 2
-    while s <= q * q:
-        yield ScalingUnit(lam=lam0**s, s=s, gamma=lam0)
-        s *= 2
-    # property d): fix every residue class of (1/q)Z[e]
-    full = class_fixing_power(
-        lam0, q, [field.num(Fraction(i, q), Fraction(j, q)) for i in range(q) for j in range(q)]
-    )
-    if full.s != base.s:
-        yield full
 
 
 def synthesize(spec: IetSpec, radius: int = 10**4):
     """Scaling unit, return system and verified substitution for `spec`.
 
-    Requires decide(spec) == Invariant.  For eps' > 1 the walk runs on the
-    reversal-reduced parameters and the images are transported back
-    (reverse each image and swap A with C); in every case the result must
-    pass the fixed-point and eigenvector checks or the next unit in the
-    retry ladder is tried.
+    Requires decide(spec) == Invariant.  The unit is the least power of the
+    fundamental unit whose conjugate fixes the classes of c and c+l mod Z[e],
+    the classes of every cut the walk compares.  For eps' > 1 the walk runs
+    on the reversal-reduced parameters (same c and l, so the same unit) and
+    the images are transported back (reverse each image and swap A with C).
+    A witness that fails the homothety, fixed-point or eigenvector check
+    raises `WitnessRejected`.
     """
-    conj_sign = spec.eps.conjugate().sign()
-    reduced = conj_sign > 0
+    reduced = spec.eps.conjugate().sign() > 0
     work = reduce_by_reversal(spec) if reduced else spec
-    budget = _step_budget()
-    last_error: Optional[Exception] = None
-    for unit in _unit_ladder(work):
-        try:
-            ret, sub = _synthesize_with_unit(work, unit, budget)
-        except StraddlesDiscontinuity as exc:
-            last_error = exc
-            continue
-        except StepBudgetExceeded as exc:
-            # a larger unit only makes the return walk longer; give up now
-            last_error = exc
-            break
-        cand = sub
-        if reduced:
-            cand = sub.relabel(_REVERSAL_SWAP).reversed_images()
-        if not ret.homothety_ok:
-            continue
-        if not cand.verify_fixed_point(spec, radius):
-            continue
-        if not cand.check_eigenvector(spec.eps, unit.lam):
-            continue
-        return unit, ret, cand
-    if last_error is not None:
-        raise last_error
-    raise StraddlesDiscontinuity("no unit in the retry ladder produced a verified substitution")
+    anchors = [spec.c, spec.end]
+    unit = class_fixing_power(lemma_unit(spec.field), denominator(anchors), anchors)
+    ret, sub = _synthesize_with_unit(work, unit)
+    if reduced:
+        sub = sub.relabel(_REVERSAL_SWAP).reversed_images()
+    if not ret.homothety_ok:
+        raise WitnessRejected(f"the return system of lambda = {unit.lam} fails the homothety check")
+    if not sub.verify_fixed_point(spec, radius):
+        raise WitnessRejected(f"the substitution fails the fixed-point check at radius {radius}")
+    if not sub.check_eigenvector(spec.eps, unit.lam):
+        raise WitnessRejected(f"the substitution fails the eigenvector check for lambda = {unit.lam}")
+    return unit, ret, sub
 
 
 def decide(spec: IetSpec, radius: int = 10**4, synthesize_witness: bool = True) -> DecisionReport:

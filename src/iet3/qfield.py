@@ -298,9 +298,6 @@ class QuadNum:
         eps = Fraction(-f.B * scale + f.branch * sq, 2 * f.A * scale)
         return self.a + self.b * eps
 
-    def __float__(self):
-        return float(self._approx())
-
     def floor(self) -> int:
         """Exact floor of the real value."""
         n = math.floor(self._approx())

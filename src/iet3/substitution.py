@@ -33,8 +33,8 @@ class Substitution:
     def __post_init__(self):
         for letter in self.alphabet:
             img = self.images.get(letter)
-            if not img:
-                raise UnknownLetter(f"no (nonempty) image for letter {letter!r}")
+            if not (img and isinstance(img, str)):
+                raise UnknownLetter(f"no (nonempty) string image for letter {letter!r}")
             for ch in img:
                 if ch not in self.alphabet:
                     raise UnknownLetter(f"image letter {ch!r} not in alphabet")

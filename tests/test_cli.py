@@ -190,14 +190,6 @@ class TestSweep:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("budget", ["abc", "0", "-5"])
-    def test_malformed_step_budget(self, monkeypatch, capsys, budget):
-        monkeypatch.setenv("IET3_STEP_BUDGET", budget)
-        code, _, err = run(["decide", *WORKED], capsys)
-        assert code == 2
-        assert err.startswith("error: ") and "IET3_STEP_BUDGET" in err
-        assert "Traceback" not in err
-
     def test_unit_without_class_cycle(self, monkeypatch, capsys):
         """A scaling candidate that does not permute the residue classes
         (here the non-unit 2) is reported, not raised as a traceback."""
@@ -214,12 +206,18 @@ class TestErrors:
         (["decide", *WORKED, "--output", "{tmp}/missing/out.txt"], None, "missing"),
         (["decide", *WORKED, "--radius", "0"], None, "radius"),
         (["verify", "--report", "{tmp}/r.json", "--radius", "0"], lambda d: d, "radius"),
-        (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, substitution=5), ""),
-        (["verify", "--report", "{tmp}/r.json"], lambda d: {**d, "lambda": 5}, ""),
-        (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, field="1,2,-1"), ""),
-        (["verify", "--report", "{tmp}/r.json"], lambda d: [d], ""),
+        (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, substitution=5), "'substitution'"),
+        (["verify", "--report", "{tmp}/r.json"],
+         lambda d: dict(d, substitution=dict(d["substitution"], B=5)), "letter 'B'"),
+        (["verify", "--report", "{tmp}/r.json"], lambda d: {**d, "lambda": 5}, "'lambda'"),
+        (["verify", "--report", "{tmp}/r.json"],
+         lambda d: {k: v for k, v in d.items() if k != "lambda"}, "missing key 'lambda'"),
+        (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, field="1,2,-1"), "'field'"),
+        (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, field=[1, 2]), "'field'"),
+        (["verify", "--report", "{tmp}/r.json"], lambda d: [d], "JSON object"),
     ], ids=["eps-1/0", "eps-nested", "field-branch", "output-dir", "decide-radius-0",
-            "verify-radius-0", "substitution-int", "lambda-int", "field-str", "report-list"])
+            "verify-radius-0", "substitution-int", "image-int", "lambda-int", "lambda-missing",
+            "field-str", "field-short", "report-list"])
     def test_bad_input_exits_two(self, tmp_path, capsys, argv, edit, needle):
         """Bad input exits 2 with one error line and no traceback; a zero
         radius is refused, not passed without comparing a letter."""

@@ -1,17 +1,18 @@
 """The decision procedure: verdicts and exact conditions, witness
-synthesis with the retry ladder, the ancestor criterion, block starts,
+synthesis with its one scaling unit, the ancestor criterion, block starts,
 and the reversal reduction for slopes with conjugate above 1."""
 
 from fractions import Fraction
 
 import pytest
 
+import iet3.invariance
 from iet3 import (ancestor, check_block_starts, check_lemma_ancestor,
                   code_orbit, decide, is_sturm, make_field, make_spec,
                   parse_quadnum, reduce_by_reversal, step, synthesize,
                   Substitution)
-from iet3.errors import (InvalidStepBudget, NotApplicable, OutOfDomain,
-                         StepBudgetExceeded)
+from iet3.errors import (NotApplicable, OutOfDomain, StepBudgetExceeded,
+                         StraddlesDiscontinuity, WitnessRejected)
 
 F2 = make_field(1, 2, -1, 1)
 F5R = make_field(1, -3, 1, -1)  # eps = (3-sqrt5)/2, conjugate > 1
@@ -78,6 +79,17 @@ class TestDecide:
         assert not rep.conditions["sturm"]
 
 
+def count_walks(monkeypatch, walk=iet3.invariance._walk_interval):
+    """Route the return walks through `walk`; the list records each call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+    monkeypatch.setattr(iet3.invariance, "_walk_interval", counted)
+    return calls
+
+
 class TestSynthesize:
     def test_verified_witness(self, spec):
         unit, ret, sub = synthesize(spec)
@@ -104,16 +116,27 @@ class TestSynthesize:
         wrong = Substitution(("A", "B", "C"), images)
         assert not check_block_starts(spec, report.unit, wrong, 1000)
 
-    @pytest.mark.parametrize("budget", ["abc", "0"])
-    def test_malformed_budget_is_a_library_error(self, monkeypatch, spec, budget):
-        monkeypatch.setenv("IET3_STEP_BUDGET", budget)
-        with pytest.raises(InvalidStepBudget):
+    def test_rejected_witness_is_named(self, monkeypatch, spec):
+        """A witness that fails a check is rejected after the three walks
+        of its one unit, with the check named; no other unit is tried."""
+        calls = count_walks(monkeypatch)
+        monkeypatch.setattr(Substitution, "check_eigenvector", lambda *a: False)
+        with pytest.raises(WitnessRejected, match="eigenvector"):
             synthesize(spec)
+        assert len(calls) == 3
+
+    def test_straddle_propagates(self, monkeypatch, spec):
+        def straddle(*args):
+            raise StraddlesDiscontinuity("tracked interval straddles an endpoint of J")
+        calls = count_walks(monkeypatch, straddle)
+        with pytest.raises(StraddlesDiscontinuity):
+            synthesize(spec)
+        assert len(calls) == 1
 
     def test_budget_exhaustion_surfaces(self, monkeypatch):
         """A denominator that forces a huge scaling power fails fast with
         StepBudgetExceeded rather than walking forever."""
-        monkeypatch.setenv("IET3_STEP_BUDGET", "2000")
+        monkeypatch.setattr(iet3.invariance, "STEP_BUDGET", 2000)
         sp = make_spec(F5R.eps(), F5R.num(Fraction(7, 10), 0),
                        F5R.num(Fraction(-1, 10), 0))
         with pytest.raises(StepBudgetExceeded):

@@ -180,12 +180,14 @@ class TestFrame:
 
     def test_single_surd_kernel(self):
         """Only qfield calls sign_of_surd; no module rebuilds the old
-        per-caller scaling helpers."""
+        per-caller scaling helpers, and no setting is read from the
+        environment."""
         for path in sorted(Path(iet3.__file__).parent.glob("*.py")):
             text = path.read_text(encoding="utf-8")
             if path.name != "qfield.py":
                 assert "sign_of_surd(" not in text, path.name
             assert not re.search(r"\b(ipair|diff_sign)\b", text), path.name
+            assert not re.search(r"\b(environ|getenv)\b", text), path.name
 
 
 class TestSignOfSurd:
@@ -234,6 +236,11 @@ class TestParsePrint:
     def test_decimal_negative(self):
         x = F2.num(0, Fraction(-1, 2))  # ~ -0.2071
         assert x.decimal(6).startswith("-0.207106")
+
+    def test_no_float_view(self):
+        """Exact numbers print as decimals but never convert to float."""
+        with pytest.raises(TypeError):
+            float(F2.eps())
 
 
 class TestLattice:
