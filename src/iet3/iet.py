@@ -12,13 +12,15 @@ Valid parameters satisfy eps in (0,1), 1 > l > max(1-eps, eps) and
 `step` and `inverse_step` act on QuadNums and are the plain reference.
 Every loop instead runs `OrbitCoder`, which keeps points as integer pairs
 of a `qfield.Frame`: a step is an integer addition and a letter at most
-two exact signs.  `code_orbit` is its word-level wrapper.
+two comparisons with the cuts.  Floats only filter these comparisons: a
+float margin inside the frame's error bound is decided by the exact
+`Frame.cmp`.  `code_orbit` is its word-level wrapper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .errors import OutOfDomain, RationalSlope
@@ -152,20 +154,44 @@ class OrbitCoder:
 
     def forward_points(self, start=(0, 0)) -> Iterator[Tuple[Tuple[int, int], int]]:
         """(T^n(start), index of its letter) for n = 0, 1, ..."""
-        cmp, d1, d2, shift = self.frame.cmp, self.d1, self.d2, self.shift
-        x = start
-        while True:
-            i = 0 if cmp(x, d1) < 0 else 1 if cmp(x, d2) < 0 else 2
+        fr = self.frame
+        cmp, L, ef, d1, d2, shift = fr.cmp, fr.L, fr.ef, self.d1, self.d2, self.shift
+        f1, f2 = fr.approx(d1), fr.approx(d2)
+        base, step = fr.size(start) + fr.size(d1, d2), fr.size(*shift)
+        x, check = start, 0
+        for n in count():
+            if n == check:  # a pair grows by at most one shift per step
+                check = 2 * n + 64
+                tol = fr.tol(base + check * step)
+            v = x[0] / L + x[1] / L * ef
+            if (t := v - f1) < -tol or t <= tol and cmp(x, d1) < 0:
+                i = 0
+            elif (t := v - f2) < -tol or t <= tol and cmp(x, d2) < 0:
+                i = 1
+            else:
+                i = 2
             yield x, i
             s = shift[i]
             x = (x[0] + s[0], x[1] + s[1])
 
     def backward_points(self, start=(0, 0)) -> Iterator[Tuple[Tuple[int, int], int]]:
         """(T^-n(start), index of its letter) for n = 1, 2, ..."""
-        cmp, b1, b2, shift = self.frame.cmp, self.b1, self.b2, self.shift
-        x = start
-        while True:
-            i = 2 if cmp(x, b1) < 0 else 1 if cmp(x, b2) < 0 else 0
+        fr = self.frame
+        cmp, L, ef, b1, b2, shift = fr.cmp, fr.L, fr.ef, self.b1, self.b2, self.shift
+        f1, f2 = fr.approx(b1), fr.approx(b2)
+        base, step = fr.size(start) + fr.size(b1, b2), fr.size(*shift)
+        x, check = start, 0
+        for n in count():
+            if n == check:
+                check = 2 * n + 64
+                tol = fr.tol(base + check * step)
+            v = x[0] / L + x[1] / L * ef
+            if (t := v - f1) < -tol or t <= tol and cmp(x, b1) < 0:
+                i = 2
+            elif (t := v - f2) < -tol or t <= tol and cmp(x, b2) < 0:
+                i = 1
+            else:
+                i = 0
             s = shift[i]
             x = (x[0] - s[0], x[1] - s[1])
             yield x, i

@@ -12,8 +12,11 @@ derives from c and c+l; every orbit walk stops after `STEP_BUDGET` steps.
 
 The three walks share one `iet.OrbitCoder`; they, the ancestor
 search and the block-start check run on its integer points, in a frame
-that also holds the lam'-scaled numbers they compare with.  The block
-cut is `Substitution.block_starts`, the one `verify_fixed_point` makes.
+that also holds the lam'-scaled numbers they compare with.  The walk
+tests its points through the frame's float filter: floats only filter,
+and every margin inside the frame's error bound is decided by the exact
+`Frame.cmp`.  The block cut is `Substitution.block_starts`, the one
+`verify_fixed_point` makes.
 """
 
 from __future__ import annotations
@@ -163,23 +166,34 @@ def _walk_interval(coder: OrbitCoder, lo, hi, js, je):
 
     All four are pairs of `coder.frame`.  The interval moves rigidly, so
     the walk follows the orbit of lo and keeps hi at the fixed offset
-    hi - lo.  Returns the return word and the landing pair (x, y).
+    hi - lo.  Returns the return word and the landing pair (x, y).  The
+    overlap and straddle tests use the frame's float filter, with its
+    bound for STEP_BUDGET steps; the containment test runs once, exactly.
     """
-    cmp = coder.frame.cmp
+    fr, budget = coder.frame, STEP_BUDGET
+    cmp, L, ef = fr.cmp, fr.L, fr.ef
     w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
     if cmp(lo, coder.c) < 0 or cmp(lo, coder.end) >= 0:
         raise StraddlesDiscontinuity("tracked interval escaped the domain")
-    upper = (coder.d1, coder.d2, coder.end)  # right ends of I1, I2, I3
+    # with y = x + w, the tests of y against js and the right ends of I1,
+    # I2, I3 are tests of x against the same cuts less w
+    jw, *uw = ((p[0] - w0, p[1] - w1) for p in (js, coder.d1, coder.d2, coder.end))
+    fjw, fje, fuw = fr.approx(jw), fr.approx(je), [fr.approx(p) for p in uw]
+    # x is at most `budget` shifts from lo
+    tol = fr.tol(fr.size(lo) + budget * fr.size(*coder.shift) + fr.size(jw, je, *uw))
     name = []
     for n, (x, i) in enumerate(coder.forward_points(lo)):
-        y = (x[0] + w0, x[1] + w1)
-        if n and cmp(y, js) > 0 and cmp(x, je) < 0:  # [x, y) meets J
+        v = x[0] / L + x[1] / L * ef
+        # [x, y) meets J when y > js and x < je
+        if n and ((t := v - fjw) > tol or t >= -tol and cmp(x, jw) > 0) \
+                and ((t := v - fje) < -tol or t <= tol and cmp(x, je) < 0):
+            y = (x[0] + w0, x[1] + w1)
             if cmp(x, js) >= 0 and cmp(y, je) <= 0:
                 return "".join(name), (x, y)
             raise StraddlesDiscontinuity("tracked interval straddles an endpoint of J")
-        if n == STEP_BUDGET:
-            raise StepBudgetExceeded(f"return walk exceeded {STEP_BUDGET} steps")
-        if cmp(y, upper[i]) > 0:
+        if n == budget:
+            raise StepBudgetExceeded(f"return walk exceeded {budget} steps")
+        if (t := v - fuw[i]) > tol or t >= -tol and cmp(x, uw[i]) > 0:  # y > right end
             raise StraddlesDiscontinuity("tracked interval crosses a discontinuity of the exchange")
         name.append(LETTERS[i])
 

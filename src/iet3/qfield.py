@@ -8,9 +8,12 @@ membership in Z[e] = Z + eZ a coordinate check and keeps Galois
 conjugation closed-form:  e' = -B/A - e, so  (a + b e)' = (a - bB/A) - b e.
 
 All ordering decisions reduce to the exact sign of an integer expression
-P + Q*sqrt(D), written once in `_sign_diff`; no floating point is ever
-consulted.  `QuadNum.sign` calls it after clearing denominators; loops
-call it through a `Frame`, which keeps numbers as integer pairs.
+P + Q*sqrt(D), written once in `_sign_diff`.  `QuadNum.sign` calls it
+after clearing denominators; loops call it through a `Frame`, which keeps
+numbers as integer pairs.  A `Frame` also gives a float filter: the loops
+compare float images of their pairs and call `Frame.cmp` only when the
+float margin is within the proven error bound `Frame.tol`, so a float
+never decides a case the bound cannot settle.
 """
 
 from __future__ import annotations
@@ -339,15 +342,39 @@ class Frame:
     """Numbers a + b*e as integer pairs (L*a, L*b), with L the common
     denominator of `xs`.  Pairs add and subtract as integers; `cmp(p, q)`
     is the exact sign of p - q: -1, 0 or +1 as p <, = or > q.
+
+    Float filter.  `approx(p)` = p0/L + (p1/L)*ef is the float image of a
+    pair, with `ef` = float(e._approx()); loops inline this expression.
+    Dividing first keeps the floats near the real values, so pairs of any
+    size convert.  `size(p)` = |p0|/L + |p1|/L * E with
+    E = |ef|*(1 + 2^-50) + 2^-11, and `tol(s)` bounds the float error of a
+    margin built from approx values whose sizes sum to at most s.
+
+    Derivation, with u = 2^-53.  `_approx` is within 2^-66 of e and its
+    float is correctly rounded, so |ef - e| <= u|e| + 2^-65; hence |e| <= E
+    and u|e| + 2^-65 <= u*E.  In approx(p) the two divisions, the product
+    and the sum each round with relative error at most u, so with a = p0/L
+    and b = p1/L the error of the product is at most |b|*E*u*((1+u)^2 + 2
+    + u) <= 3.01u|b|E, the final sum is at most 1.01*size(p) in magnitude,
+    and |approx(p) - (a + b*e)| <= u|a| + 3.01u|b|E + 1.01u*size(p)
+    <= 4.1u*size(p).  A margin adds or subtracts at most three approx
+    values in at most two more roundings, each of a value below 1.01*s,
+    so its error is below (4.1 + 2.03)u*s < 8u*s; computing `size` in
+    floats moves s by a few u.  `tol` keeps a safety factor of 8 on that:
+    tol(s) = 64u*s = 2^-47*s, plus 2^-1000 for results that underflow.
+    So a margin t > tol(s) or t < -tol(s) has the sign of the exact
+    difference, and `cmp` decides every other case.
     """
 
-    __slots__ = ("field", "L", "cmp")
+    __slots__ = ("field", "L", "cmp", "ef", "_e_size")
 
     def __init__(self, field: FieldDesc, xs):
         self.field = field
         self.L = denominator(xs)
         # bound once so that a comparison in a loop is a single Python call
         self.cmp = partial(_sign_diff, field._surd)
+        self.ef = float(field.eps()._approx())
+        self._e_size = abs(self.ef) * (1 + 2.0**-50) + 2.0**-11
 
     def pair(self, x: QuadNum) -> Tuple[int, int]:
         a, b = self.L * x.a, self.L * x.b
@@ -361,6 +388,18 @@ class Frame:
     def sign(self, p: Tuple[int, int]) -> int:
         """Exact sign of the number with pair p."""
         return self.cmp(p, (0, 0))
+
+    def approx(self, p: Tuple[int, int]) -> float:
+        """Float image of the number with pair p, within tol(size(p))."""
+        return p[0] / self.L + p[1] / self.L * self.ef
+
+    def size(self, *pairs: Tuple[int, int]) -> float:
+        """The largest |p0|/L + |p1|/L * E over `pairs`; it bounds |p|."""
+        return max(abs(p0) / self.L + abs(p1) / self.L * self._e_size for p0, p1 in pairs)
+
+    def tol(self, size: float) -> float:
+        """Error bound of a float margin whose terms' sizes sum to `size`."""
+        return size * 2.0**-47 + 2.0**-1000
 
 
 def sqrt_in_field(field: FieldDesc, n: int) -> QuadNum:

@@ -12,12 +12,15 @@ checking
 those identities letter by letter, and checking that the three-letter
 decision agrees with the two Sturmian decisions, are the strongest
 independent cross-checks of the main decision procedure.
+
+`sturmian_word` decides each letter with the float filter of a
+`qfield.Frame`: a float margin inside the frame's error bound is decided
+by the exact `Frame.cmp`, so floats never decide a letter on their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import UnknownLetter
 from .iet import IetSpec, OrbitCoder, non_degenerate
@@ -52,12 +55,13 @@ def sturmian_word(spec: SturmianSpec, n: int) -> str:
     """First n letters u_k = round((k+1)a + x0) - round(ka + x0), exactly.
 
     Runs on the integer pairs of a Frame: u_k = 1 iff k*a + x0 + a passes
-    the next integer, decided by one exact comparison per letter.
+    the next integer, decided by one comparison per letter through the
+    frame's float filter, exact inside its bound.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
     fr = Frame(spec.alpha.field, [spec.alpha, spec.x0])
-    cmp, L, al = fr.cmp, fr.L, fr.pair(spec.alpha)
+    cmp, L, ef, al = fr.cmp, fr.L, fr.ef, fr.pair(spec.alpha)
     strict = spec.rounding == "ceiling"
     # y = k*alpha + x0 - r, scaled by L, where r is the current rounded
     # value; x0 in [0,1) so floor is 0, ceiling is 1 unless x0 == 0
@@ -65,10 +69,17 @@ def sturmian_word(spec: SturmianSpec, n: int) -> str:
     # the rounded value advances when floor: y >= 1; ceiling: y > 0
     # (slope < 1 means at most one advance per step)
     target = (0, 0) if strict else (L, 0)
-    out = []
-    for _ in range(n):
+    ft = fr.approx(target)
+    # y gains alpha and loses at most 1 per letter
+    base, step = fr.size(y) + fr.size(target), fr.size(al) + fr.size((L, 0))
+    out, check = [], 0
+    for k in range(n):
+        if k == check:
+            check = 2 * k + 64
+            tol = fr.tol(base + check * step)
         y = (y[0] + al[0], y[1] + al[1])
-        s = cmp(y, target)
+        t = y[0] / L + y[1] / L * ef - ft
+        s = 1 if t > tol else -1 if t < -tol else cmp(y, target)
         if s > 0 or (s == 0 and not strict):
             y = (y[0] - L, y[1])
             out.append("1")
@@ -96,8 +107,12 @@ def sturmian_images_match(spec3: IetSpec, radius: int) -> bool:
     """Do the sigma images of the exchange word equal the predicted
     Sturmian words (slope 1-eps, intercept -c mod 1; slope 1-eps,
     intercept -(l+c) mod 1) over `radius` letters of the images?"""
-    # each sigma image has one or two letters, so radius letters suffice
-    word = "".join(islice(OrbitCoder(spec3).forward(), radius))
+    # read until the images (B gives two letters, A and C one) reach radius
+    letters, word, length = OrbitCoder(spec3).forward(), [], 0
+    while length < radius:
+        word.append(next(letters))
+        length += len(SIGMA_01[word[-1]])
+    word = "".join(word)
     eps, one = spec3.eps, spec3.field.one()
     expected01 = sturmian_word(SturmianSpec(one - eps, _frac(-spec3.c)), radius)
     expected10 = sturmian_word(SturmianSpec(one - eps, _frac(-(spec3.l + spec3.c))), radius)

@@ -31,13 +31,14 @@ class Substitution:
     images: Dict[str, str]
 
     def __post_init__(self):
+        letters = set(self.alphabet)
         for letter in self.alphabet:
             img = self.images.get(letter)
             if not (img and isinstance(img, str)):
                 raise UnknownLetter(f"no (nonempty) string image for letter {letter!r}")
-            for ch in img:
-                if ch not in self.alphabet:
-                    raise UnknownLetter(f"image letter {ch!r} not in alphabet")
+            if not set(img) <= letters:
+                bad = next(ch for ch in img if ch not in letters)
+                raise UnknownLetter(f"image letter {bad!r} not in alphabet")
 
     # -- word action ----------------------------------------------------------
 

@@ -10,6 +10,7 @@ scaling unit.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 
@@ -87,3 +88,22 @@ def negative_spec(worked_field) -> IetSpec:
     f = worked_field
     return make_spec(f.eps(), parse_quadnum("1/2+1/2*e", f),
                      parse_quadnum("-3/2+7/2*e", f))
+
+
+def convergents(field, limit):
+    """Pairs (a, b), 1 <= b <= limit, with a/b the continued-fraction
+    convergents of the field's e: b*e - a is within 1/b of 0, and its sign
+    alternates from one convergent to the next."""
+    scale = 2**256  # e to within 2^-256, ample for b <= 2^120
+    num = -field.B * scale + field.branch * isqrt(field.disc * scale * scale)
+    den = 2 * field.A * scale
+    out, (h0, h1), (k0, k1) = [], (0, 1), (1, 0)
+    while den:
+        q, r = divmod(num, den)
+        h0, h1 = h1, q * h1 + h0
+        k0, k1 = k1, q * k1 + k0
+        if k1 > limit:
+            break
+        out.append((h1, k1))
+        num, den = den, r
+    return out

@@ -2,16 +2,19 @@
 forward/backward step maps, and exact orbit coding."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iet3 import (code_orbit, inverse_step, make_field, make_spec,
+from conftest import convergents
+from iet3 import (OrbitCoder, code_orbit, inverse_step, make_field, make_spec,
                   non_degenerate, normalize, orbit_window, parse_quadnum, step)
 from iet3.errors import OutOfDomain, RationalSlope
 
 F2 = make_field(1, 2, -1, 1)
+F5 = make_field(1, 1, -1, 1)  # e = (sqrt5 - 1)/2
 WORKED_WORD = "BBCBBCACBBCBBCACBCAC"
 
 
@@ -146,3 +149,49 @@ class TestStep:
             expect = float(Fraction(length.a)) + float(Fraction(length.b)) * (2 ** 0.5 - 1)
             target = expect / float(Fraction(spec.l.a) + Fraction(spec.l.b) * (2 ** 0.5 - 1))
             assert abs(w.count(ch) / n - target) < 0.01
+
+
+def reference(spec, z, n, back=False):
+    """n (point, letter) pairs of the QuadNum maps from z, in the order
+    forward_points or backward_points yields them."""
+    out = []
+    for _ in range(n):
+        if back:
+            z, letter = inverse_step(spec, z)
+            out.append((z, letter))
+        else:
+            nxt, letter = step(spec, z)
+            out.append((z, letter))
+            z = nxt
+    return out
+
+
+class TestFloatFilter:
+    """OrbitCoder decides letters by float margins, exactly inside the
+    frame's error bound; it must agree with the QuadNum reference maps."""
+
+    @pytest.mark.parametrize("tiny", [0, Fraction(1, 3 * 10**400)])
+    def test_coder_matches_step(self, tiny):
+        """sqrt5-neg with l = 1 - e/2 and c = -e/3 (an s = 4 spec whose
+        return walks are about 10^5 letters), and the same with c moved
+        by 10^-400/3, whose pairs lie far beyond the float range."""
+        sp = make_spec(F5.eps(), parse_quadnum("1-1/2*e", F5),
+                       parse_quadnum("-1/3*e", F5) - tiny)
+        coder, n = OrbitCoder(sp), 300 if tiny else 3000
+        for points, back in ((coder.forward_points(), False), (coder.backward_points(), True)):
+            got = [(coder.frame.point(x), "ABC"[i]) for x, i in islice(points, n)]
+            assert got == reference(sp, F5.zero(), n, back)
+
+    def test_starts_within_float_error_of_a_cut(self):
+        """Orbits started at a cut moved by b*e - a, for convergents a/b of e
+        with b up to 10^12: the offset is far below the float error of the
+        start's pair, so the first letters need the exact fallback."""
+        sp = make_spec(F5.eps(), parse_quadnum("1-1/2*e", F5), parse_quadnum("-1/3*e", F5))
+        coder = OrbitCoder(sp)
+        cuts = {False: (sp.d1, sp.d2), True: (sp.end - sp.eps, sp.c + 1 - sp.eps)}
+        for a, b in convergents(F5, 10**12)[-6:]:
+            for back, pair in ((False, coder.forward_points), (True, coder.backward_points)):
+                for cut in cuts[back]:
+                    z = cut + b * F5.eps() - a
+                    got = ["ABC"[i] for _x, i in islice(pair(coder.frame.pair(z)), 20)]
+                    assert got == [letter for _z, letter in reference(sp, z, 20, back)]

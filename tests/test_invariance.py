@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 import iet3.invariance
-from iet3 import (ancestor, check_block_starts, check_lemma_ancestor,
+from conftest import convergents
+from iet3 import (OrbitCoder, ancestor, check_block_starts, check_lemma_ancestor,
                   code_orbit, decide, is_sturm, make_field, make_spec,
                   parse_quadnum, reduce_by_reversal, step, synthesize,
                   Substitution)
+from iet3.invariance import _walk_interval
 from iet3.errors import (NotApplicable, OutOfDomain, StepBudgetExceeded,
                          StraddlesDiscontinuity, WitnessRejected)
 
@@ -141,6 +143,38 @@ class TestSynthesize:
                        F5R.num(Fraction(-1, 10), 0))
         with pytest.raises(StepBudgetExceeded):
             decide(sp)
+
+
+class TestWalkFilter:
+    """The walk decides its tests by float margins, exactly inside the
+    frame's error bound.  Ends moved off a cut by b*e - a > 0, for
+    convergents a/b of e with b up to 10^12, are far below the float error
+    of their pairs, so only the exact fallback sees which side they are on."""
+
+    @staticmethod
+    def offsets():
+        e = F2.eps()
+        return [d for d in (b * e - a for a, b in convergents(F2, 10**12)[-8:]) if d.sign() > 0]
+
+    def test_straddled_discontinuity(self, spec):
+        coder = OrbitCoder(spec)
+        for d in self.offsets():
+            hi = coder.frame.pair(spec.d1 + d)  # [c, d1 + d) straddles d1
+            with pytest.raises(StraddlesDiscontinuity, match="discontinuity of the exchange"):
+                _walk_interval(coder, coder.c, hi, coder.c, coder.end)
+
+    def test_overlap_with_j(self, spec, monkeypatch):
+        """[c, c + 1/100) maps to [x, x + 1/100) with x = c + 1 - e; a J
+        ending at x + d overlaps it by d, and the walk must see that at
+        its first step instead of running out of its one-step budget."""
+        monkeypatch.setattr(iet3.invariance, "STEP_BUDGET", 1)
+        x = spec.c + 1 - spec.eps
+        coder = OrbitCoder(spec, [spec.c + Fraction(1, 100), x - Fraction(1, 10)])
+        fr = coder.frame
+        lo, hi = coder.c, fr.pair(spec.c + Fraction(1, 100))
+        for d in self.offsets():
+            with pytest.raises(StraddlesDiscontinuity, match="endpoint of J"):
+                _walk_interval(coder, lo, hi, fr.pair(x - Fraction(1, 10)), fr.pair(x + d))
 
 
 class TestAncestor:

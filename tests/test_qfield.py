@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iet3
+from conftest import convergents
 from iet3 import make_field, parse_quadnum, sqrt_in_field
 from iet3.qfield import Frame, class_of, denominator, sign_of_surd
 from iet3.errors import (DegenerateField, NoSquareRoot, NotInLattice,
@@ -179,15 +180,81 @@ class TestFrame:
             frame.pair(F2.num(Fraction(1, 3), 0))
 
     def test_single_surd_kernel(self):
-        """Only qfield calls sign_of_surd; no module rebuilds the old
-        per-caller scaling helpers, and no setting is read from the
-        environment."""
+        """Only qfield calls sign_of_surd or makes floats of field data; no
+        module rebuilds the old per-caller scaling helpers, and no setting
+        is read from the environment."""
         for path in sorted(Path(iet3.__file__).parent.glob("*.py")):
             text = path.read_text(encoding="utf-8")
             if path.name != "qfield.py":
                 assert "sign_of_surd(" not in text, path.name
+                # the float image of e and its error bound live in Frame
+                assert not re.search(r"_approx\b|math\.sqrt|\bfloat\(", text), path.name
             assert not re.search(r"\b(ipair|diff_sign)\b", text), path.name
             assert not re.search(r"\b(environ|getenv)\b", text), path.name
+
+
+def precise_value(frame, p) -> Fraction:
+    """The number with pair p, with e taken to within 2^-256."""
+    f, scale = frame.field, 2**256
+    e = Fraction(-f.B * scale + f.branch * isqrt(f.disc * scale * scale), 2 * f.A * scale)
+    return (p[0] + p[1] * e) / frame.L
+
+
+def filtered_sign(frame, p, q) -> int:
+    """The orbit loops' decision: the float margin when it clears the
+    bound, the exact cmp otherwise."""
+    t = frame.approx(p) - frame.approx(q)
+    tol = frame.tol(frame.size(p) + frame.size(q))
+    return 1 if t > tol else -1 if t < -tol else frame.cmp(p, q)
+
+
+@st.composite
+def filter_pairs(draw):
+    """A frame and two pairs.  Often p - q is +-(b*e - a) for a convergent
+    a/b of e with b up to 10^12, a number within 1/b of 0 that the float
+    margin cannot sign; L up to 10^400 puts pairs beyond the float range."""
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    frame = Frame(f, [f.num(Fraction(1, draw(st.sampled_from([1, 6, 10**40, 10**400]))), 0)])
+    big = st.integers(-10**12, 10**12)
+    q = (draw(big), draw(big))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(convergents(f, 10**12)[-8:]))
+        s = draw(st.sampled_from([1, -1]))
+        d = (-s * a, s * b)
+    else:
+        d = (draw(big), draw(big))
+    return frame, (q[0] + d[0], q[1] + d[1]), q
+
+
+class TestFloatFilter:
+    @given(case=filter_pairs())
+    def test_filtered_decision_is_exact(self, case):
+        frame, p, q = case
+        assert filtered_sign(frame, p, q) == frame.cmp(p, q)
+
+    @given(case=filter_pairs())
+    def test_approx_within_derived_bound(self, case):
+        """|approx(p) - p| <= 4.1u*size(p), the bound tol derives from,
+        and size(p) bounds |p| up to its own rounding, both up to
+        underflow (tol adds 2^-1000)."""
+        frame, p, _q = case
+        value, size = precise_value(frame, p), Fraction(frame.size(p))
+        underflow = Fraction(1, 2**1070)
+        assert abs(Fraction(frame.approx(p)) - value) <= Fraction(4.1) * 2**-53 * size + underflow
+        assert abs(value) <= size * (1 + Fraction(1, 2**50)) + underflow
+
+    def test_convergents_fall_inside_the_band(self):
+        """For the convergents of e with b from 10^9 to 10^12 the float
+        sign of b*e - a is wrong for some, and every one of them is sent
+        to the exact test."""
+        frame = Frame(F5, [F5.one()])
+        pairs = [(-a, b) for a, b in convergents(F5, 10**12) if b > 10**9]
+        wrong = 0
+        for p in pairs:
+            t, tol = frame.approx(p), frame.tol(frame.size(p))
+            assert -tol <= t <= tol
+            wrong += (t > 0) - (t < 0) != frame.sign(p)
+        assert wrong > 0
 
 
 class TestSignOfSurd:

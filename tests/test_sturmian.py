@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import iet3
+from conftest import convergents
 from iet3 import (SturmianSpec, complexity, corollary_crosscheck, make_field,
                   make_spec, parse_quadnum, sigma, sturmian_images_match,
                   sturmian_word, yasutomi)
@@ -51,6 +53,18 @@ class TestSturmianWord:
             w = sturmian_word(SturmianSpec(f.eps(), x0), 4000)
             assert complexity(w, 30) == [1] + [n + 1 for n in range(1, 31)]
 
+    @pytest.mark.parametrize("rounding", ["floor", "ceiling"])
+    def test_crossings_within_float_error(self, rounding):
+        """Intercepts 1 - e + (b*e - a) for convergents a/b of e, b up to
+        10^12, put the first crossing of an integer far below the float
+        error of the pairs; the letters must match exact roundings."""
+        e = F5.eps()
+        for a, b in convergents(F5, 10**12)[-6:]:
+            x0 = 1 - e + (b * e - a)
+            rnd = (lambda x: x.floor()) if rounding == "floor" else (lambda x: -(-x).floor())
+            want = "".join(str(rnd((k + 1) * e + x0) - rnd(k * e + x0)) for k in range(20))
+            assert sturmian_word(SturmianSpec(e, x0, rounding), 20) == want
+
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             SturmianSpec(F2.rational(Fraction(1, 2)), F2.zero())  # rational slope
@@ -79,6 +93,22 @@ class TestImagesMatch:
 
     def test_radius_zero_vacuous(self, spec):
         assert sturmian_images_match(spec, 0)
+
+    @pytest.mark.parametrize("radius", [1, 2, 7, 1001])
+    def test_reads_just_enough_letters(self, spec, radius, monkeypatch):
+        """The sigma images are read to `radius` letters and no further,
+        and match sturmian_word computed directly."""
+        read = []
+        forward = iet3.sturmian.OrbitCoder.forward
+        monkeypatch.setattr(iet3.sturmian.OrbitCoder, "forward",
+                            lambda self: (read.append(ch) or ch for ch in forward(self)))
+        assert sturmian_images_match(spec, radius)
+        word = "".join(read)
+        assert len(sigma("01", word)) >= radius > len(sigma("01", word[:-1]))
+        one = F2.one()
+        for variant, intercept in (("01", _frac(-spec.c)), ("10", _frac(-(spec.l + spec.c)))):
+            expected = sturmian_word(SturmianSpec(one - spec.eps, intercept), radius)
+            assert sigma(variant, word)[:radius] == expected
 
     def test_perturbed_intercept_detected(self, spec):
         """Shifting the predicted intercept by 1/7 breaks the match

@@ -29,6 +29,11 @@ class TestMorphism:
         with pytest.raises(UnknownLetter):
             WORKED("AXB")
 
+    def test_bad_letter_deep_in_long_image(self):
+        images = {"A": "BC" * 50_000 + "X" + "AB", "B": "A", "C": "B"}
+        with pytest.raises(UnknownLetter, match="'X'"):
+            Substitution(("A", "B", "C"), images)
+
     def test_text_round_trip(self):
         text = WORKED.to_text()
         assert "A -> BBCAC" in text
