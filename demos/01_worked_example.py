@@ -1,9 +1,13 @@
 """End-to-end walkthrough on one exactly-known parameter set.
 
 The exchange has slope eps = sqrt(2)-1, domain length l = sqrt(2)/2 and
-origin c = (1-sqrt(2))/2.  The script decides substitution invariance,
+origin c = (1-sqrt(2))/2.  The script decides substitution invariance and
 prints the synthesized substitution with its scaling unit and return
-interval, and re-verifies every claim against the orbit word.
+interval.  The return walks that built the substitution also prove it:
+each lam' * I_i reads the image of its letter and lands on lam' * T(I_i)
+(the homothety check), and as 0 = lam' * 0 the orbit word is the fixed
+point u = phi(u).  The script then cross-checks that proof against the
+orbit word itself.
 
 Run:  python demos/01_worked_example.py
 """
@@ -42,7 +46,8 @@ def main():
     print("return times:", ret.return_times)
     print()
 
-    print("fixed point at radius 1e4:", sub.verify_fixed_point(spec, 10**4))
+    print("homothety, so u = phi(u):", ret.homothety_ok)
+    print("u = phi(u) on 1e4 letters each side:", sub.verify_fixed_point(spec, 10**4))
     print("eigen-identity N v = lam' v:",
           sub.check_eigenvector(spec.eps, unit.lam))
     print("block starts in J match:",

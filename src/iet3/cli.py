@@ -13,9 +13,9 @@ import json
 import sys
 
 from .capset import CapSetConfig, gap_class, generate as capset_generate, point_value
-from .errors import Iet3Error
+from .errors import Iet3Error, InvalidUnit, StepBudgetExceeded, StraddlesDiscontinuity
 from .iet import IetSpec, code_orbit, make_spec, normalize, orbit_window
-from .invariance import DecisionReport, decide
+from .invariance import DecisionReport, decide, return_substitution
 from .qfield import FieldDesc, QuadNum, make_field, parse_quadnum
 from .substitution import Substitution, complexity
 
@@ -160,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} for one parameter set")
         add_spec_args(p)
         add_output_args(p)
-        p.add_argument("--radius", type=int, default=10**4,
-                       help="fixed-point verification radius")
 
     p = sub.add_parser("generate", help="emit letters of the orbit word")
     add_spec_args(p)
@@ -169,15 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="frm", type=int, default=0)
     p.add_argument("--to", dest="to", type=int, default=100)
 
-    p = sub.add_parser("verify", help="re-verify a synthesize/decide JSON report")
+    p = sub.add_parser("verify", help="re-verify a JSON report by redoing its return walks")
     p.add_argument("--report", required=True, help="path to the JSON report")
-    p.add_argument("--radius", type=int, default=10**4)
 
     p = sub.add_parser("complexity", help="factor complexity table")
     add_spec_args(p)
     add_output_args(p)
     p.add_argument("--n-max", type=int, default=30)
-    p.add_argument("--radius", type=int, default=10**5)
+    p.add_argument("--radius", type=int, default=10**5, help="count in letters [-radius, radius)")
 
     p = sub.add_parser("capset", help="emit cut-and-project points as TSV")
     add_spec_args(p)
@@ -188,14 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="decide a line-delimited JSON parameter file")
     p.add_argument("--input", required=True)
-    p.add_argument("--radius", type=int, default=10**4)
     add_output_args(p)
     return parser
 
 
 def _cmd_decide(args, out) -> int:
     spec = _spec_from_args(args)
-    report = decide(spec, radius=args.radius)
+    report = decide(spec)
     _print_report(report, args.format, out)
     return 0 if report.verdict == "Invariant" else 1
 
@@ -212,7 +208,11 @@ def _cmd_verify(args, out) -> int:
     spec = _spec_from_json(data)
     sub = Substitution(("A", "B", "C"), _json_value(data, "substitution", dict))
     lam = parse_quadnum(_json_value(data, "lambda", str), spec.field)
-    ok_fix = sub.verify_fixed_point(spec, args.radius)
+    try:
+        ret, walked = return_substitution(spec, lam)
+        ok_fix = ret.homothety_ok and walked.images == sub.images
+    except (InvalidUnit, StraddlesDiscontinuity, StepBudgetExceeded):
+        ok_fix = False  # lambda yields no return system to prove the fixed point with
     ok_eig = sub.check_eigenvector(spec.eps, lam)
     print(f"fixed_point: {ok_fix}", file=out)
     print(f"eigenvector: {ok_eig}", file=out)
@@ -220,6 +220,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_complexity(args, out) -> int:
+    if not (args.radius >= 1 and 0 <= args.n_max <= 2 * args.radius):
+        raise ValueError("complexity needs --radius >= 1 and 0 <= --n-max <= 2 * radius")
     spec = _spec_from_args(args)
     window = orbit_window(spec, args.radius)
     values = complexity(window, args.n_max)
@@ -255,7 +257,7 @@ def _cmd_sweep(args, out) -> int:
             data = line  # the raw text, until it parses
             try:
                 data = json.loads(line)
-                report = decide(_spec_from_json(data), radius=args.radius)
+                report = decide(_spec_from_json(data))
                 record = report_to_json(report)
             except _INPUT_ERRORS as exc:
                 record = {"error": str(exc), "input": data}

@@ -62,7 +62,7 @@ class WitnessRejected(Iet3Error):
 
 
 class InvalidUnit(Iet3Error):
-    """A candidate scaling unit does not permute the residue classes mod Z[e]."""
+    """A scaling candidate with conjugate outside (0, 1), or not permuting classes mod Z[e]."""
 
 
 class NotApplicable(Iet3Error):

@@ -2,13 +2,14 @@
 substitution as the first return map on a scaled copy of the domain.
 
 The decision itself is three exact sign checks on Galois conjugates.  For
-an Invariant verdict the substitution is constructed by tracking whole
-subintervals of J = lam' * [c, c+l) through the exchange until they
-return to J: all points of a tracked interval share one return name, so
-translating the interval and recording visited letters both computes the
-images and proves their correctness (a straddled discontinuity aborts the
-walk instead of being split).  J is scaled by the one unit `synthesize`
-derives from c and c+l; every orbit walk stops after `STEP_BUDGET` steps.
+an Invariant verdict `return_substitution` walks each K_i = lam' * I_i
+through the exchange until it returns to J = lam' * [c, c+l), keeping it
+inside the interval of every letter read; that word is phi(i).  The walk
+is the proof: if each K_i lands on lam' * T(I_i) (the homothety check),
+the orbit of lam' * x, x in I_i, reads phi(i) and ends at lam' * T(x), so
+by induction from 0 = lam' * 0, u = phi(u) on both sides.  J is scaled by
+the one unit `synthesize` derives from c and c+l; every orbit walk stops
+after `STEP_BUDGET` steps.
 
 The three walks share one `iet.OrbitCoder`; they, the ancestor
 search and the block-start check run on its integer points, in a frame
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from typing import Dict, Optional, Tuple
 
-from .errors import (NotApplicable, OutOfDomain, StepBudgetExceeded,
+from .errors import (InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded,
                      StraddlesDiscontinuity, WitnessRejected)
 from .iet import LETTERS, IetSpec, OrbitCoder, make_spec, step
 from .qfield import QuadNum, denominator
@@ -38,6 +39,7 @@ __all__ = [
     "is_sturm",
     "decide",
     "synthesize",
+    "return_substitution",
     "ancestor",
     "check_lemma_ancestor",
     "check_block_starts",
@@ -85,9 +87,10 @@ def is_sturm(eps: QuadNum) -> bool:
 
 
 def reduce_by_reversal(spec: IetSpec) -> IetSpec:
-    """Parameters (1-eps, l, c), coding the reversed word up to an A/C swap.
-
-    Applicable when eps' > 1; the reduced slope has conjugate 1-eps' < 0.
+    """Parameters (1-eps, l, c), coding the reversed word up to an A/C swap:
+    the reduced exchange is T^-1 with A and C swapped, so its word u* is
+    u*_n = swap(u_(-1-n)).  Applicable when eps' > 1; the reduced slope
+    has conjugate 1-eps' < 0.
     """
     if not spec.eps.conjugate() > 1:
         raise NotApplicable("reversal reduction needs eps' > 1")
@@ -164,17 +167,15 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
 def _walk_interval(coder: OrbitCoder, lo, hi, js, je):
     """Track [lo, hi) through the exchange until it returns inside J = [js, je).
 
-    All four are pairs of `coder.frame`.  The interval moves rigidly, so
-    the walk follows the orbit of lo and keeps hi at the fixed offset
-    hi - lo.  Returns the return word and the landing pair (x, y).  The
-    overlap and straddle tests use the frame's float filter, with its
+    All four are pairs of `coder.frame`, lo in the domain.  The interval
+    moves rigidly, so the walk follows the orbit of lo and keeps hi at the
+    fixed offset hi - lo.  Returns the word read and the landing (x, y).
+    The overlap and straddle tests use the frame's float filter, with its
     bound for STEP_BUDGET steps; the containment test runs once, exactly.
     """
     fr, budget = coder.frame, STEP_BUDGET
     cmp, L, ef = fr.cmp, fr.L, fr.ef
     w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
-    if cmp(lo, coder.c) < 0 or cmp(lo, coder.end) >= 0:
-        raise StraddlesDiscontinuity("tracked interval escaped the domain")
     # with y = x + w, the tests of y against js and the right ends of I1,
     # I2, I3 are tests of x against the same cuts less w
     jw, *uw = ((p[0] - w0, p[1] - w1) for p in (js, coder.d1, coder.d2, coder.end))
@@ -198,8 +199,15 @@ def _walk_interval(coder: OrbitCoder, lo, hi, js, je):
         name.append(LETTERS[i])
 
 
-def _synthesize_with_unit(spec: IetSpec, unit: ScalingUnit) -> Tuple[ReturnSystem, Substitution]:
-    conj = unit.lam_conj
+def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Substitution]:
+    """Return system on J = lam' * [c, c+l), 0 < lam' < 1, and the substitution
+    of its return words.  For eps' > 1 the walks run on the reversal-reduced
+    spec (same J) and each image comes back reversed, with A and C swapped."""
+    conj = lam.conjugate()
+    if not 0 < conj < 1:
+        raise InvalidUnit(f"lambda' = {conj} is not in (0, 1)")
+    reduced = spec.eps.conjugate() > 1
+    spec = reduce_by_reversal(spec) if reduced else spec
     # lam' * (c, d1, d2, c+l, c+l-eps, c+1-eps): K_i = lam' * I_i returns
     # to J, and homothety asks that it lands on lam' * T(I_i), where
     # T(I3), T(I2), T(I1) tile [c, c+l) at the last two cuts
@@ -212,37 +220,32 @@ def _synthesize_with_unit(spec: IetSpec, unit: ScalingUnit) -> Tuple[ReturnSyste
     sub = Substitution(("A", "B", "C"), dict(zip("ABC", names)))
     ret = ReturnSystem(scaled[0], scaled[3], tuple(zip(scaled[:3], scaled[1:4])),
                        names, landed == ((b2, end), (b1, b2), (c, b1)))
+    if reduced:
+        sub = sub.relabel(_REVERSAL_SWAP).reversed_images()
     return ret, sub
 
 
-def synthesize(spec: IetSpec, radius: int = 10**4):
-    """Scaling unit, return system and verified substitution for `spec`.
+def synthesize(spec: IetSpec):
+    """Scaling unit, return system and proven substitution for `spec`.
 
     Requires decide(spec) == Invariant.  The unit is the least power of the
     fundamental unit whose conjugate fixes the classes of c and c+l mod Z[e],
-    the classes of every cut the walk compares.  For eps' > 1 the walk runs
-    on the reversal-reduced parameters (same c and l, so the same unit) and
-    the images are transported back (reverse each image and swap A with C).
-    A witness that fails the homothety, fixed-point or eigenvector check
-    raises `WitnessRejected`.
+    the classes of every cut the walk compares.  The walks of
+    `return_substitution` and the homothety check prove u = phi(u); the
+    eigenvector check is an independent recheck.  A witness that fails
+    either raises `WitnessRejected`.
     """
-    reduced = spec.eps.conjugate().sign() > 0
-    work = reduce_by_reversal(spec) if reduced else spec
     anchors = [spec.c, spec.end]
     unit = class_fixing_power(lemma_unit(spec.field), denominator(anchors), anchors)
-    ret, sub = _synthesize_with_unit(work, unit)
-    if reduced:
-        sub = sub.relabel(_REVERSAL_SWAP).reversed_images()
+    ret, sub = return_substitution(spec, unit.lam)
     if not ret.homothety_ok:
         raise WitnessRejected(f"the return system of lambda = {unit.lam} fails the homothety check")
-    if not sub.verify_fixed_point(spec, radius):
-        raise WitnessRejected(f"the substitution fails the fixed-point check at radius {radius}")
     if not sub.check_eigenvector(spec.eps, unit.lam):
         raise WitnessRejected(f"the substitution fails the eigenvector check for lambda = {unit.lam}")
     return unit, ret, sub
 
 
-def decide(spec: IetSpec, radius: int = 10**4, synthesize_witness: bool = True) -> DecisionReport:
+def decide(spec: IetSpec, synthesize_witness: bool = True) -> DecisionReport:
     """Full decision: verdict, exact condition record, and (when Invariant)
     a synthesized, verified substitution."""
     report = DecisionReport(verdict="NotInvariant", spec=spec)
@@ -272,12 +275,12 @@ def decide(spec: IetSpec, radius: int = 10**4, synthesize_witness: bool = True) 
     report.verdict = "Invariant"
     report.reversed_reduction = eps_c.sign() > 0
     if synthesize_witness:
-        unit, ret, sub = synthesize(spec, radius)
+        unit, ret, sub = synthesize(spec)
         report.unit = unit
         report.return_system = ret
         report.substitution = sub
         report.checks = {
-            "fixed_point": True,  # enforced by synthesize
+            "fixed_point": True,  # proven by the walks and the homothety landing
             "eigenvector": True,  # enforced by synthesize
             "homothety": ret.homothety_ok,
             "primitive": sub.is_primitive(),

@@ -41,7 +41,7 @@ def worked():
 
 def test_1_worked_example_end_to_end(worked):
     t0 = time.time()
-    rep = decide(worked, radius=10**4)
+    rep = decide(worked)
     assert rep.verdict == "Invariant"
     unit, ret, sub = rep.unit, rep.return_system, rep.substitution
     f = worked.field
@@ -164,7 +164,7 @@ def test_8_self_verifying_synthesis():
                  if decide(sp, synthesize_witness=False).verdict == "Invariant"]
     assert invariant
     for label, sp in invariant:
-        unit, ret, sub = synthesize(sp, radius=10**4)
+        unit, ret, sub = synthesize(sp)
         assert sub.verify_fixed_point(sp, 10**4), label
         assert ret.homothety_ok, label
         assert check_block_starts(sp, unit, sub, 1000), label

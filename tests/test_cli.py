@@ -7,18 +7,29 @@ import json
 import pytest
 
 import iet3.invariance
-from iet3.cli import main
+from iet3 import Substitution, make_field, parse_quadnum
+from iet3.cli import build_parser, main
 
 WORKED = ["--field", "1,2,-1,+", "--eps", "e", "--l", "1/2+1/2*e",
           "--c=-1/2*e"]
 NEGATIVE = ["--field", "1,2,-1,+", "--eps", "e", "--l", "1/2+1/2*e",
             "--c=-3/2+7/2*e"]
+# s = 4, return times (83881, 135721, 51841)
+SQRT5_NEG = ["--field", "1,1,-1,+", "--eps", "e", "--l", "1-1/2*e", "--c=-1/3"]
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def edited_report(tmp_path, capsys, spec_args, edit):
+    """Path of the JSON report of `spec_args`, changed by `edit`."""
+    _, out, _ = run(["decide", "--format", "json", *spec_args], capsys)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(edit(json.loads(out))))
+    return str(path)
 
 
 class TestDecide:
@@ -92,6 +103,39 @@ class TestVerify:
         assert code == 1
         assert "fixed_point: False" in out
 
+    def test_swapped_letters_fail(self, tmp_path, capsys):
+        """Two adjacent letters swapped in the middle of phi(B), past any
+        sampled window, fail: the return walk reads every letter."""
+        def swap(data):
+            b = data["substitution"]["B"]
+            k = next(k for k in range(len(b) // 2, len(b)) if b[k] != b[k + 1])
+            data["substitution"]["B"] = b[:k] + b[k + 1] + b[k] + b[k + 2:]
+            return data
+        path = edited_report(tmp_path, capsys, SQRT5_NEG, swap)
+        code, out, err = run(["verify", "--report", path], capsys)
+        assert code == 1
+        assert out == "fixed_point: False\neigenvector: True\n"
+        assert err == ""
+
+    @pytest.mark.parametrize("power, new_lambda, passes", [
+        (2, lambda lam: lam * lam, True),
+        (1, lambda lam: lam * lam, False),
+        (1, lambda lam: lam.conjugate(), False),
+        (1, lambda lam: -lam, False),
+    ], ids=["phi2-lambda2", "phi-lambda2", "phi-conjugate", "phi-minus-lambda"])
+    def test_lambda_must_return_the_images(self, tmp_path, capsys, power, new_lambda, passes):
+        """The report's images must be the return words of its own lambda;
+        a lambda with its conjugate outside (0, 1) proves nothing."""
+        def edit(data):
+            lam = parse_quadnum(data["lambda"], make_field(1, 2, -1, 1))
+            sub = Substitution(("A", "B", "C"), data["substitution"]).power(power)
+            return {**data, "substitution": sub.images, "lambda": str(new_lambda(lam))}
+        path = edited_report(tmp_path, capsys, WORKED, edit)
+        code, out, err = run(["verify", "--report", path], capsys)
+        assert code == (0 if passes else 1)
+        assert out.startswith(f"fixed_point: {passes}\n")
+        assert err == ""
+
 
 class TestGenerate:
     def test_prefix(self, capsys):
@@ -109,6 +153,16 @@ class TestComplexity:
         lines = out.strip().splitlines()
         assert lines[0] == "n\tC(n)"
         assert [l.split("\t")[1] for l in lines[1:]] == ["1", "3", "5", "7", "9", "11"]
+
+    @pytest.mark.parametrize("radius, n_max", [("0", "30"), ("1", "4"), ("5", "-1")])
+    def test_empty_window_refused(self, capsys, radius, n_max):
+        """A window too short for the factors asked for is an input error,
+        not a table of zeros."""
+        code, out, err = run(["complexity", *WORKED, "--radius", radius,
+                              "--n-max", n_max], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "--radius" in err
+        assert out == ""
 
 
 class TestCapset:
@@ -204,8 +258,6 @@ class TestErrors:
         (["decide", *WORKED, "--eps", "(" * 3000 + "e" + ")" * 3000], None, "recursion"),
         (["decide", *WORKED, "--field", "1,2,-1,x"], None, "+ - 1 -1"),
         (["decide", *WORKED, "--output", "{tmp}/missing/out.txt"], None, "missing"),
-        (["decide", *WORKED, "--radius", "0"], None, "radius"),
-        (["verify", "--report", "{tmp}/r.json", "--radius", "0"], lambda d: d, "radius"),
         (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, substitution=5), "'substitution'"),
         (["verify", "--report", "{tmp}/r.json"],
          lambda d: dict(d, substitution=dict(d["substitution"], B=5)), "letter 'B'"),
@@ -215,12 +267,11 @@ class TestErrors:
         (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, field="1,2,-1"), "'field'"),
         (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, field=[1, 2]), "'field'"),
         (["verify", "--report", "{tmp}/r.json"], lambda d: [d], "JSON object"),
-    ], ids=["eps-1/0", "eps-nested", "field-branch", "output-dir", "decide-radius-0",
-            "verify-radius-0", "substitution-int", "image-int", "lambda-int", "lambda-missing",
+    ], ids=["eps-1/0", "eps-nested", "field-branch", "output-dir",
+            "substitution-int", "image-int", "lambda-int", "lambda-missing",
             "field-str", "field-short", "report-list"])
     def test_bad_input_exits_two(self, tmp_path, capsys, argv, edit, needle):
-        """Bad input exits 2 with one error line and no traceback; a zero
-        radius is refused, not passed without comparing a letter."""
+        """Bad input exits 2 with one error line and no traceback."""
         if edit is not None:
             _, out, _ = run(["decide", "--format", "json", *WORKED], capsys)
             (tmp_path / "r.json").write_text(json.dumps(edit(json.loads(out))))
@@ -228,3 +279,11 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: ") and needle in err
         assert "fixed_point" not in out
+
+
+def test_only_complexity_takes_a_radius():
+    """The fixed-point proof reads whole images, so no command but the
+    complexity window has a radius to set."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert {name for name, p in commands.items()
+            if "--radius" in p._option_string_actions} == {"complexity"}

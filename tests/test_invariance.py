@@ -7,13 +7,13 @@ from fractions import Fraction
 import pytest
 
 import iet3.invariance
-from conftest import convergents
+from conftest import convergents, corpus
 from iet3 import (OrbitCoder, ancestor, check_block_starts, check_lemma_ancestor,
                   code_orbit, decide, is_sturm, make_field, make_spec,
                   parse_quadnum, reduce_by_reversal, step, synthesize,
                   Substitution)
-from iet3.invariance import _walk_interval
-from iet3.errors import (NotApplicable, OutOfDomain, StepBudgetExceeded,
+from iet3.invariance import _walk_interval, return_substitution
+from iet3.errors import (InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded,
                          StraddlesDiscontinuity, WitnessRejected)
 
 F2 = make_field(1, 2, -1, 1)
@@ -127,6 +127,16 @@ class TestSynthesize:
             synthesize(spec)
         assert len(calls) == 3
 
+    def test_lambda_conjugate_outside_unit_interval_refused(self, monkeypatch, spec, report):
+        """J = lam' * [c, c+l) holds 0 and lies in the domain only for
+        0 < lam' < 1; any other lam is refused before a walk starts."""
+        calls = count_walks(monkeypatch)
+        lam = report.unit.lam
+        for bad in (lam.conjugate(), -lam, F2.one(), F2.zero()):
+            with pytest.raises(InvalidUnit, match="not in"):
+                return_substitution(spec, bad)
+        assert not calls
+
     def test_straddle_propagates(self, monkeypatch, spec):
         def straddle(*args):
             raise StraddlesDiscontinuity("tracked interval straddles an endpoint of J")
@@ -217,16 +227,21 @@ class TestReversal:
         assert red.l == rev_spec.l and red.c == rev_spec.c
 
     def test_reduced_word_is_mirror(self, rev_spec):
-        """The reduced spec codes the reversed word up to the A/C swap:
-        the factor languages agree under reverse-and-swap."""
-        red = reduce_by_reversal(rev_spec)
-        w = code_orbit(rev_spec, -400, 400)
-        v = code_orbit(red, -400, 400)
+        """The reduced spec codes the reversed word with A and C swapped,
+        letter for letter: u*_n = swap(u_(-1-n)) on both sides of 0, on
+        rev_spec and every corpus spec with eps' > 1.  `return_substitution`
+        transports its images by this identity."""
         swap = str.maketrans("AC", "CA")
-        n = 6
-        facs_w = {w[i:i + n] for i in range(len(w) - n)}
-        facs_v = {v[i:i + n][::-1].translate(swap) for i in range(len(v) - n)}
-        assert facs_w == facs_v
+
+        def mirror(word):
+            return word[::-1].translate(swap)
+        n = 2000
+        reversible = [(label, sp) for label, sp in corpus() if sp.eps.conjugate() > 1]
+        assert len(reversible) == 36
+        for label, sp in [("rev_spec", rev_spec)] + reversible:
+            red = reduce_by_reversal(sp)
+            assert code_orbit(red, 0, n) == mirror(code_orbit(sp, -n, 0)), label
+            assert code_orbit(red, -n, 0) == mirror(code_orbit(sp, 0, n)), label
 
     def test_reversal_synthesis_verifies(self, rev_spec):
         rep = decide(rev_spec)
