@@ -3,11 +3,13 @@
 The exchange has slope eps = sqrt(2)-1, domain length l = sqrt(2)/2 and
 origin c = (1-sqrt(2))/2.  The script decides substitution invariance and
 prints the synthesized substitution with its scaling unit and return
-interval.  The return walks that built the substitution also prove it:
-each lam' * I_i reads the image of its letter and lands on lam' * T(I_i)
-(the homothety check), and as 0 = lam' * 0 the orbit word is the fixed
-point u = phi(u).  The script then cross-checks that proof against the
-orbit word itself.
+interval.  The substitution is the first return map on J = lam' * [c, c+l),
+built by nested induction on the windows lam0'^k * [c, c+l) of the
+fundamental unit lam0, each induced from the one before and the last one J.
+The induction also proves it: each lam' * I_i reads the image of its
+letter and lands on lam' * T(I_i) (the homothety check), and as
+0 = lam' * 0 the orbit word is the fixed point u = phi(u).  The script then
+cross-checks that proof against the orbit word itself.
 
 Run:  python demos/01_worked_example.py
 """
@@ -39,7 +41,8 @@ def main():
     unit, ret, sub = report.unit, report.return_system, report.substitution
     print(f"scaling unit  lam = {unit.lam}  ~ {unit.lam.decimal(12)}  "
           f"(power s = {unit.s})")
-    print(f"return interval J = [{ret.j_start}, {ret.j_end})")
+    print(f"return interval J = [{ret.j_start}, {ret.j_end})  "
+          f"(induction levels: {ret.levels})")
     print("substitution:")
     for letter in "ABC":
         print(f"  {letter} -> {sub.images[letter]}")

@@ -13,10 +13,11 @@ import json
 import sys
 
 from .capset import CapSetConfig, gap_class, generate as capset_generate, point_value
-from .errors import Iet3Error, InvalidUnit, StepBudgetExceeded, StraddlesDiscontinuity
+from .errors import Iet3Error, InvalidUnit, StepBudgetExceeded
 from .iet import IetSpec, code_orbit, make_spec, normalize, orbit_window
 from .invariance import DecisionReport, decide, return_substitution
 from .qfield import FieldDesc, QuadNum, make_field, parse_quadnum
+from .quadunit import lemma_unit
 from .substitution import Substitution, complexity
 
 __all__ = ["main", "build_parser", "report_to_json"]
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="frm", type=int, default=0)
     p.add_argument("--to", dest="to", type=int, default=100)
 
-    p = sub.add_parser("verify", help="re-verify a JSON report by redoing its return walks")
+    p = sub.add_parser("verify", help="re-verify a JSON report by rebuilding its return system")
     p.add_argument("--report", required=True, help="path to the JSON report")
 
     p = sub.add_parser("complexity", help="factor complexity table")
@@ -208,10 +209,15 @@ def _cmd_verify(args, out) -> int:
     spec = _spec_from_json(data)
     sub = Substitution(("A", "B", "C"), _json_value(data, "substitution", dict))
     lam = parse_quadnum(_json_value(data, "lambda", str), spec.field)
+    claims = [_json_value(data, key, kind) for key, kind in
+              (("verdict", str), ("s", int), ("return_times", list))]
     try:
-        ret, walked = return_substitution(spec, lam)
-        ok_fix = ret.homothety_ok and walked.images == sub.images
-    except (InvalidUnit, StraddlesDiscontinuity, StepBudgetExceeded):
+        ret, induced = return_substitution(spec, lam)
+        ok_fix = (ret.homothety_ok and induced.images == sub.images
+                  and lam == lemma_unit(spec.field) ** ret.levels
+                  # as JSON text, where true is not 1 and 5.0 is not 5
+                  and json.dumps(claims) == json.dumps(["Invariant", ret.levels, ret.return_times]))
+    except (InvalidUnit, StepBudgetExceeded):
         ok_fix = False  # lambda yields no return system to prove the fixed point with
     ok_eig = sub.check_eigenvector(spec.eps, lam)
     print(f"fixed_point: {ok_fix}", file=out)

@@ -54,7 +54,7 @@ class StraddlesDiscontinuity(Iet3Error):
 
 
 class StepBudgetExceeded(Iet3Error):
-    """An orbit walk ran past its safety cap."""
+    """A witness or an ancestor search ran past its safety cap."""
 
 
 class WitnessRejected(Iet3Error):

@@ -2,22 +2,22 @@
 substitution as the first return map on a scaled copy of the domain.
 
 The decision itself is three exact sign checks on Galois conjugates.  For
-an Invariant verdict `return_substitution` walks each K_i = lam' * I_i
-through the exchange until it returns to J = lam' * [c, c+l), keeping it
-inside the interval of every letter read; that word is phi(i).  The walk
-is the proof: if each K_i lands on lam' * T(I_i) (the homothety check),
-the orbit of lam' * x, x in I_i, reads phi(i) and ends at lam' * T(x), so
-by induction from 0 = lam' * 0, u = phi(u) on both sides.  J is scaled by
-the one unit `synthesize` derives from c and c+l; every orbit walk stops
-after `STEP_BUDGET` steps.
+an Invariant verdict `return_substitution` builds the first return map on
+J = lam' * [c, c+l) by nested induction: on the windows lam0'^k * [c, c+l)
+of the fundamental unit lam0, each induced from the one before, and last
+on J.  Each piece of a level lies inside one piece of the level before at
+every step, so inside one interval I_i at every letter; the letters J's
+piece K_i reads are phi(i).  The induction is the proof: if each K_i is
+lam' * I_i and lands on lam' * T(I_i) (the homothety check), the orbit of
+lam' * x, x in I_i, reads phi(i) and ends at lam' * T(x), so by induction
+from 0 = lam' * 0, u = phi(u) on both sides.  J is scaled by the one unit
+`synthesize` derives from c and c+l; the images may total at most
+`STEP_BUDGET` letters, and an ancestor search at most as many steps.
 
-The three walks share one `iet.OrbitCoder`; they, the ancestor
-search and the block-start check run on its integer points, in a frame
-that also holds the lam'-scaled numbers they compare with.  The walk
-tests its points through the frame's float filter: floats only filter,
-and every margin inside the frame's error bound is decided by the exact
-`Frame.cmp`.  The block cut is `Substitution.block_starts`, the one
-`verify_fixed_point` makes.
+The induction compares the integer pairs of one `iet.OrbitCoder` frame,
+exactly, with `Frame.cmp`; the ancestor search and the block-start check
+run on the coder's points.  The block cut is `Substitution.block_starts`,
+the one `verify_fixed_point` makes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import islice
 from typing import Dict, Optional, Tuple
 
 from .errors import (InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded,
-                     StraddlesDiscontinuity, WitnessRejected)
+                     WitnessRejected)
 from .iet import LETTERS, IetSpec, OrbitCoder, make_spec, step
 from .qfield import QuadNum, denominator
 from .quadunit import ScalingUnit, class_fixing_power, lemma_unit
@@ -46,7 +46,7 @@ __all__ = [
     "reduce_by_reversal",
 ]
 
-STEP_BUDGET = 10**6  # cap on the steps of one orbit walk
+STEP_BUDGET = 10**6  # cap on the letters of phi, and on the steps of an ancestor search
 _REVERSAL_SWAP = {"A": "C", "B": "B", "C": "A"}
 
 
@@ -59,6 +59,7 @@ class ReturnSystem:
     subintervals: Tuple[Tuple[QuadNum, QuadNum], ...]  # K1, K2, K3
     return_names: Tuple[str, str, str]
     homothety_ok: bool
+    levels: int  # windows of the nested induction, J the last
 
     @property
     def return_times(self) -> Tuple[int, int, int]:
@@ -164,62 +165,99 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
     return True
 
 
-def _walk_interval(coder: OrbitCoder, lo, hi, js, je):
-    """Track [lo, hi) through the exchange until it returns inside J = [js, je).
+def _induce(cmp, pieces, lo, hi, texts):
+    """First return map of the exchange `pieces` to the window [lo, hi).
 
-    All four are pairs of `coder.frame`, lo in the domain.  The interval
-    moves rigidly, so the walk follows the orbit of lo and keeps hi at the
-    fixed offset hi - lo.  Returns the word read and the landing (x, y).
-    The overlap and straddle tests use the frame's float filter, with its
-    bound for STEP_BUDGET steps; the containment test runs once, exactly.
+    `pieces` tile, from left to right, a window that holds [lo, hi); each
+    is (start, end, t, n, word): it moves by t and reads n letters.  A part
+    of [lo, hi) is pushed through them, cut at every piece end and window
+    end it straddles, until it lands in [lo, hi).  Returns the pieces of
+    the first return in the same form, each word a tuple of indices into
+    `pieces`.  Adjacent parts merge when they read the same letters, so
+    equal n and t are not enough (shift_A + shift_C = shift_B), and equal
+    index words are more than needed: a part that straddled an end of the
+    old window may read the same letters through other pieces, which
+    `texts`, the letters of `pieces`, settle.
     """
-    fr, budget = coder.frame, STEP_BUDGET
-    cmp, L, ef = fr.cmp, fr.L, fr.ef
-    w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
-    # with y = x + w, the tests of y against js and the right ends of I1,
-    # I2, I3 are tests of x against the same cuts less w
-    jw, *uw = ((p[0] - w0, p[1] - w1) for p in (js, coder.d1, coder.d2, coder.end))
-    fjw, fje, fuw = fr.approx(jw), fr.approx(je), [fr.approx(p) for p in uw]
-    # x is at most `budget` shifts from lo
-    tol = fr.tol(fr.size(lo) + budget * fr.size(*coder.shift) + fr.size(jw, je, *uw))
-    name = []
-    for n, (x, i) in enumerate(coder.forward_points(lo)):
-        v = x[0] / L + x[1] / L * ef
-        # [x, y) meets J when y > js and x < je
-        if n and ((t := v - fjw) > tol or t >= -tol and cmp(x, jw) > 0) \
-                and ((t := v - fje) < -tol or t <= tol and cmp(x, je) < 0):
-            y = (x[0] + w0, x[1] + w1)
-            if cmp(x, js) >= 0 and cmp(y, je) <= 0:
-                return "".join(name), (x, y)
-            raise StraddlesDiscontinuity("tracked interval straddles an endpoint of J")
-        if n == budget:
-            raise StepBudgetExceeded(f"return walk exceeded {budget} steps")
-        if (t := v - fuw[i]) > tol or t >= -tol and cmp(x, uw[i]) > 0:  # y > right end
-            raise StraddlesDiscontinuity("tracked interval crosses a discontinuity of the exchange")
-        name.append(LETTERS[i])
+    out, todo = [], [(lo, hi, (0, 0), 0, ())]
+    while todo:
+        x, y, t, n, word = todo.pop()
+        while True:
+            u, v = (x[0] + t[0], x[1] + t[1]), (y[0] + t[0], y[1] + t[1])
+            if word and cmp(u, hi) < 0 and cmp(v, lo) > 0:  # [u, v) meets the window
+                if cmp(u, lo) < 0:
+                    cut = lo
+                elif cmp(v, hi) > 0:
+                    cut = hi
+                else:
+                    break
+            else:
+                j = next(j for j, p in enumerate(pieces) if cmp(u, p[1]) < 0)
+                _, cut, s, k, _ = pieces[j]
+                if cmp(v, cut) <= 0:
+                    t, n, word = (t[0] + s[0], t[1] + s[1]), n + k, word + (j,)
+                    continue
+            m = (cut[0] - t[0], cut[1] - t[1])  # the cut, where the part started
+            todo.append((m, y, t, n, word))
+            y = m
+        if out and out[-1][2:4] == (t, n) and (out[-1][4] == word or "".join(
+                texts[i] for i in out[-1][4]) == "".join(texts[i] for i in word)):
+            out[-1] = (out[-1][0], y, t, n, word)
+        else:
+            out.append((x, y, t, n, word))
+    return out
 
 
 def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Substitution]:
     """Return system on J = lam' * [c, c+l), 0 < lam' < 1, and the substitution
-    of its return words.  For eps' > 1 the walks run on the reversal-reduced
-    spec (same J) and each image comes back reversed, with A and C swapped."""
+    of its return words, by nested induction.
+
+    With Omega = [c, c+l) and lam0 = `lemma_unit`, the first return to
+    lam0'^k * Omega is induced from the one to lam0'^(k-1) * Omega for
+    k = 1, 2, ... while lam0'^k > lam', and last on J (`ReturnSystem.levels`
+    windows in all).  The windows nest as 0 is in Omega; a level has a few
+    pieces and costs about lam0 times as many steps, however long its words.
+    The homothety check asks that J's pieces are lam' * I_i, moved by
+    lam' * shift_i; when it fails, `homothety_ok` is False and phi(i) is the
+    return word of the left end of lam' * I_i.  `StepBudgetExceeded` is
+    raised once a level's words total more than STEP_BUDGET letters, before
+    they are spelled; each of them occurs in some word of J's first return.
+    For eps' > 1 the induction runs on the reversal-reduced spec (same J)
+    and each image comes back reversed, with A and C swapped.
+    """
     conj = lam.conjugate()
     if not 0 < conj < 1:
         raise InvalidUnit(f"lambda' = {conj} is not in (0, 1)")
     reduced = spec.eps.conjugate() > 1
     spec = reduce_by_reversal(spec) if reduced else spec
-    # lam' * (c, d1, d2, c+l, c+l-eps, c+1-eps): K_i = lam' * I_i returns
-    # to J, and homothety asks that it lands on lam' * T(I_i), where
-    # T(I3), T(I2), T(I1) tile [c, c+l) at the last two cuts
-    scaled = [conj * x for x in (spec.c, spec.d1, spec.d2, spec.end,
-                                 spec.end - spec.eps, spec.c + 1 - spec.eps)]
+    # lam' * (c, d1, d2, c+l) and lam' * shift_i: J = lam' * [c, c+l) is
+    # homothetic when its pieces are lam' * I_i, moved by lam' * shift_i
+    scaled = [conj * x for x in (spec.c, spec.d1, spec.d2, spec.end)]
     coder = OrbitCoder(spec, scaled)
-    c, d1, d2, end, b1, b2 = (coder.frame.pair(x) for x in scaled)
-    names, landed = zip(*(_walk_interval(coder, lo, hi, c, end)
-                          for lo, hi in ((c, d1), (d1, d2), (d2, end))))
+    fr = coder.frame
+    cuts = [fr.pair(x) for x in scaled]
+    moves = [fr.pair(conj * s) for s in spec.shifts()]
+    conj0 = lemma_unit(spec.field).conjugate()
+    windows, scale = [], conj0
+    while scale > conj:
+        windows.append((fr.pair(scale * spec.c), fr.pair(scale * spec.end)))
+        scale = scale * conj0
+    windows.append((cuts[0], cuts[3]))
+    ends = (coder.c, coder.d1, coder.d2, coder.end)
+    pieces = [(a, b, s, 1, ()) for a, b, s in zip(ends, ends[1:], coder.shift)]  # I_i
+    texts = list(LETTERS)  # the letters of each piece
+    for lo, hi in windows:
+        pieces = _induce(fr.cmp, pieces, lo, hi, texts)
+        if sum(p[3] for p in pieces) > STEP_BUDGET:
+            raise StepBudgetExceeded(f"the images for lambda = {lam} exceed {STEP_BUDGET} letters")
+        texts = ["".join(texts[i] for i in p[4]) for p in pieces]
+    ok = [p[:3] for p in pieces] == [(cuts[i], cuts[i + 1], moves[i]) for i in range(3)]
+    # without the homothety, phi(i) is the return word of the left end of lam' * I_i
+    names = tuple(next(w for p, w in zip(pieces, texts) if fr.cmp(x, p[1]) < 0)
+                  for x in cuts[:3])
     sub = Substitution(("A", "B", "C"), dict(zip("ABC", names)))
-    ret = ReturnSystem(scaled[0], scaled[3], tuple(zip(scaled[:3], scaled[1:4])),
-                       names, landed == ((b2, end), (b1, b2), (c, b1)))
+    ret = ReturnSystem(scaled[0], scaled[3], tuple(zip(scaled[:3], scaled[1:4])), names, ok,
+                       len(windows))
     if reduced:
         sub = sub.relabel(_REVERSAL_SWAP).reversed_images()
     return ret, sub
@@ -229,9 +267,9 @@ def synthesize(spec: IetSpec):
     """Scaling unit, return system and proven substitution for `spec`.
 
     Requires decide(spec) == Invariant.  The unit is the least power of the
-    fundamental unit whose conjugate fixes the classes of c and c+l mod Z[e],
-    the classes of every cut the walk compares.  The walks of
-    `return_substitution` and the homothety check prove u = phi(u); the
+    fundamental unit whose conjugate fixes the classes of c and c+l mod Z[e].
+    The nested induction of `return_substitution` and its homothety check
+    prove u = phi(u); the
     eigenvector check is an independent recheck.  A witness that fails
     either raises `WitnessRejected`.
     """
@@ -280,7 +318,7 @@ def decide(spec: IetSpec, synthesize_witness: bool = True) -> DecisionReport:
         report.return_system = ret
         report.substitution = sub
         report.checks = {
-            "fixed_point": True,  # proven by the walks and the homothety landing
+            "fixed_point": True,  # proven by the induction and the homothety landing
             "eigenvector": True,  # enforced by synthesize
             "homothety": ret.homothety_ok,
             "primitive": sub.is_primitive(),

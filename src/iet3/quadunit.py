@@ -4,13 +4,14 @@ The unit gamma = X + BY + 2AY*e, built from the fundamental solution of
 X^2 - D*Y^2 = 1 with D = B^2 - 4AC, satisfies gamma*gamma' = 1 and maps
 Z[e] onto itself.  Raising Lambda0 = max(gamma, 1/gamma) to the smallest
 power s that fixes the residue classes of the window endpoints c and c+l
-(mod Z[e]) yields the scaling factor used by the synthesis walk.
+(mod Z[e]) yields the scaling factor used by the synthesis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InvalidUnit, PerfectSquare
 from .qfield import FieldDesc, QuadNum, class_of
@@ -85,6 +86,7 @@ def solve_pell(D: int) -> PellSolution:
     return PellSolution(p, q, D)
 
 
+@cache  # synthesis and its nested induction both need it
 def lemma_unit(field: FieldDesc) -> QuadNum:
     """Unit Lambda0 > 1 with Lambda0 * Lambda0' = 1 and Lambda0 Z[e] = Z[e]."""
     pell = solve_pell(field.disc)

@@ -32,11 +32,12 @@ class Substitution:
 
     def __post_init__(self):
         letters = set(self.alphabet)
+        chars = [a for a in letters if len(a) == 1]  # the letters a character can be
         for letter in self.alphabet:
             img = self.images.get(letter)
             if not (img and isinstance(img, str)):
                 raise UnknownLetter(f"no (nonempty) string image for letter {letter!r}")
-            if not set(img) <= letters:
+            if sum(map(img.count, chars)) != len(img):
                 bad = next(ch for ch in img if ch not in letters)
                 raise UnknownLetter(f"image letter {bad!r} not in alphabet")
 
@@ -59,10 +60,8 @@ class Substitution:
 
     def relabel(self, mapping: Dict[str, str]) -> "Substitution":
         """Conjugate by a permutation of the alphabet."""
-        images = {
-            mapping[a]: "".join(mapping[ch] for ch in self.images[a])
-            for a in self.alphabet
-        }
+        table = str.maketrans(mapping)
+        images = {mapping[a]: self.images[a].translate(table) for a in self.alphabet}
         return Substitution(self.alphabet, images)
 
     # -- incidence matrix -----------------------------------------------------

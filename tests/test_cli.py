@@ -122,18 +122,38 @@ class TestVerify:
         (1, lambda lam: lam * lam, False),
         (1, lambda lam: lam.conjugate(), False),
         (1, lambda lam: -lam, False),
-    ], ids=["phi2-lambda2", "phi-lambda2", "phi-conjugate", "phi-minus-lambda"])
+        (1, lambda lam: lam / lam / 2, False),
+    ], ids=["phi2-lambda2", "phi-lambda2", "phi-conjugate", "phi-minus-lambda", "phi-half"])
     def test_lambda_must_return_the_images(self, tmp_path, capsys, power, new_lambda, passes):
         """The report's images must be the return words of its own lambda;
-        a lambda with its conjugate outside (0, 1) proves nothing."""
+        a lambda with its conjugate outside (0, 1) proves nothing, and
+        lambda = 1/2 is no unit: its one level is not homothetic."""
         def edit(data):
             lam = parse_quadnum(data["lambda"], make_field(1, 2, -1, 1))
             sub = Substitution(("A", "B", "C"), data["substitution"]).power(power)
-            return {**data, "substitution": sub.images, "lambda": str(new_lambda(lam))}
+            return {**data, "substitution": sub.images, "lambda": str(new_lambda(lam)),
+                    "s": power, "return_times": [len(sub.images[a]) for a in "ABC"]}
         path = edited_report(tmp_path, capsys, WORKED, edit)
         code, out, err = run(["verify", "--report", path], capsys)
         assert code == (0 if passes else 1)
         assert out.startswith(f"fixed_point: {passes}\n")
+        assert err == ""
+
+    @pytest.mark.parametrize("claims", [
+        {"verdict": "NotInvariant"},
+        {"s": 7},
+        {"return_times": [1, 1, 1]},
+        {"verdict": "NotInvariant", "s": 7, "return_times": [1, 1, 1]},
+        {"s": True},
+        {"return_times": [5.0, 8.0, 4.0]},
+    ], ids=["verdict", "s", "return-times", "all-three", "s-true", "return-times-floats"])
+    def test_report_claims_rechecked(self, tmp_path, capsys, claims):
+        """The verdict, s and return times a report states are checked
+        against the return system its lambda gives."""
+        path = edited_report(tmp_path, capsys, WORKED, lambda data: {**data, **claims})
+        code, out, err = run(["verify", "--report", path], capsys)
+        assert code == 1
+        assert out == "fixed_point: False\neigenvector: True\n"
         assert err == ""
 
 

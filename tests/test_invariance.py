@@ -1,6 +1,7 @@
 """The decision procedure: verdicts and exact conditions, witness
-synthesis with its one scaling unit, the ancestor criterion, block starts,
-and the reversal reduction for slopes with conjugate above 1."""
+synthesis with its one scaling unit and its nested induction (checked
+against the letter-by-letter return walk), the ancestor criterion, block
+starts, and the reversal reduction for slopes with conjugate above 1."""
 
 from fractions import Fraction
 
@@ -12,9 +13,10 @@ from iet3 import (OrbitCoder, ancestor, check_block_starts, check_lemma_ancestor
                   code_orbit, decide, is_sturm, make_field, make_spec,
                   parse_quadnum, reduce_by_reversal, step, synthesize,
                   Substitution)
-from iet3.invariance import _walk_interval, return_substitution
+from iet3.invariance import return_substitution
 from iet3.errors import (InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded,
                          StraddlesDiscontinuity, WitnessRejected)
+from walk_oracle import walk_interval, walk_substitution
 
 F2 = make_field(1, 2, -1, 1)
 F5R = make_field(1, -3, 1, -1)  # eps = (3-sqrt5)/2, conjugate > 1
@@ -81,14 +83,15 @@ class TestDecide:
         assert not rep.conditions["sturm"]
 
 
-def count_walks(monkeypatch, walk=iet3.invariance._walk_interval):
-    """Route the return walks through `walk`; the list records each call."""
+def count_levels(monkeypatch, induce=iet3.invariance._induce):
+    """Route the levels of the nested induction through `induce`; the list
+    records each call."""
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return walk(*args)
-    monkeypatch.setattr(iet3.invariance, "_walk_interval", counted)
+        return induce(*args)
+    monkeypatch.setattr(iet3.invariance, "_induce", counted)
     return calls
 
 
@@ -119,35 +122,53 @@ class TestSynthesize:
         assert not check_block_starts(spec, report.unit, wrong, 1000)
 
     def test_rejected_witness_is_named(self, monkeypatch, spec):
-        """A witness that fails a check is rejected after the three walks
-        of its one unit, with the check named; no other unit is tried."""
-        calls = count_walks(monkeypatch)
+        """A witness that fails a check is rejected after the one ladder
+        run of its unit (s = 1: one level), with the check named; no other
+        unit is tried."""
+        calls = count_levels(monkeypatch)
         monkeypatch.setattr(Substitution, "check_eigenvector", lambda *a: False)
         with pytest.raises(WitnessRejected, match="eigenvector"):
             synthesize(spec)
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_lambda_conjugate_outside_unit_interval_refused(self, monkeypatch, spec, report):
         """J = lam' * [c, c+l) holds 0 and lies in the domain only for
-        0 < lam' < 1; any other lam is refused before a walk starts."""
-        calls = count_walks(monkeypatch)
+        0 < lam' < 1; any other lam is refused before any level."""
+        calls = count_levels(monkeypatch)
         lam = report.unit.lam
         for bad in (lam.conjugate(), -lam, F2.one(), F2.zero()):
             with pytest.raises(InvalidUnit, match="not in"):
                 return_substitution(spec, bad)
         assert not calls
 
-    def test_straddle_propagates(self, monkeypatch, spec):
-        def straddle(*args):
-            raise StraddlesDiscontinuity("tracked interval straddles an endpoint of J")
-        calls = count_walks(monkeypatch, straddle)
-        with pytest.raises(StraddlesDiscontinuity):
+    def test_failed_homothety_is_named(self, monkeypatch, spec):
+        """A last level whose pieces are not lam' * I_i, moved by
+        lam' * shift_i, sets homothety_ok False without raising, and
+        `synthesize` rejects it by name after its one ladder run."""
+        induce = iet3.invariance._induce
+
+        def nudged(*args):
+            (lo, hi, t, n, word), *rest = induce(*args)
+            return [(lo, hi, (t[0] + 1, t[1]), n, word), *rest]
+        calls = count_levels(monkeypatch, nudged)
+        with pytest.raises(WitnessRejected, match="homothety"):
             synthesize(spec)
         assert len(calls) == 1
+        ret, _sub = return_substitution(spec, parse_quadnum("5+2*e", F2))
+        assert not ret.homothety_ok
+
+    def test_non_unit_lambda_fails_homothety(self, spec):
+        """lam = 1/2 puts J = [c, c+l)/2 inside the first window: one
+        level, whose pieces are not homothetic to the exchange's."""
+        ret, sub = return_substitution(spec, F2.rational(Fraction(1, 2)))
+        assert ret.levels == 1
+        assert not ret.homothety_ok
+        assert all(sub.images.values())
 
     def test_budget_exhaustion_surfaces(self, monkeypatch):
-        """A denominator that forces a huge scaling power fails fast with
-        StepBudgetExceeded rather than walking forever."""
+        """A denominator that forces a huge scaling power (s = 10, lam
+        about 3.5e12) fails fast with StepBudgetExceeded, on the integer
+        word lengths of a level, instead of spelling its images."""
         monkeypatch.setattr(iet3.invariance, "STEP_BUDGET", 2000)
         sp = make_spec(F5R.eps(), F5R.num(Fraction(7, 10), 0),
                        F5R.num(Fraction(-1, 10), 0))
@@ -155,9 +176,52 @@ class TestSynthesize:
             decide(sp)
 
 
+class TestInduction:
+    """The nested induction against the return walk, which reads the
+    first return on J letter by letter (tests/walk_oracle.py)."""
+
+    def test_matches_walk_on_corpus(self):
+        invariant = [(label, rep) for label, rep in ((label, decide(sp)) for label, sp in corpus())
+                     if rep.verdict == "Invariant"]
+        assert len(invariant) == 59
+        for label, rep in invariant:
+            ok, walked = walk_substitution(rep.spec, rep.unit.lam)
+            assert rep.return_system.homothety_ok and ok, label
+            assert rep.substitution.images == walked.images, label
+            assert rep.return_system.levels == rep.unit.s, label
+
+    @pytest.mark.parametrize("texts, merged", [(["A", "C", "B"], False),
+                                               (["A", "A", "B"], True)])
+    def test_merge_compares_letters(self, texts, merged):
+        """On [0, 4), [0, 1) and [1, 2) move by +2 and [2, 4) by -2, so both
+        halves of [0, 2) return after two pieces, moved by 0: equal t, equal
+        n, index words (0, 2) and (1, 2).  They merge exactly when their
+        letters agree."""
+        fr = OrbitCoder(make_spec(F2.eps(), parse_quadnum("1/2+1/2*e", F2), F2.zero())).frame
+        x = [(k * fr.L, 0) for k in range(5)]  # the pairs of 0, 1, ..., 4
+        pieces = [(x[0], x[1], x[2], 1, ()), (x[1], x[2], x[2], 1, ()),
+                  (x[2], x[4], (-x[2][0], 0), 1, ())]
+        out = iet3.invariance._induce(fr.cmp, pieces, x[0], x[2], texts)
+        assert [p[:4] for p in out] == ([(x[0], x[2], (0, 0), 2)] if merged else
+                                        [(x[0], x[1], (0, 0), 2), (x[1], x[2], (0, 0), 2)])
+
+    @pytest.mark.parametrize("which", ["spec", "rev_spec"])
+    def test_square_of_lambda(self, request, which):
+        """lam^2 takes two levels and returns phi^2, on both sides of the
+        reversal."""
+        sp = request.getfixturevalue(which)
+        rep = decide(sp)
+        lam2 = rep.unit.lam * rep.unit.lam
+        ret, sub = return_substitution(sp, lam2)
+        ok, walked = walk_substitution(sp, lam2)
+        assert ret.homothety_ok and ok
+        assert sub.images == walked.images == rep.substitution.power(2).images
+        assert ret.levels == 2 * rep.unit.s
+
+
 class TestWalkFilter:
-    """The walk decides its tests by float margins, exactly inside the
-    frame's error bound.  Ends moved off a cut by b*e - a > 0, for
+    """The oracle walk decides its tests by float margins, exactly inside
+    the frame's error bound.  Ends moved off a cut by b*e - a > 0, for
     convergents a/b of e with b up to 10^12, are far below the float error
     of their pairs, so only the exact fallback sees which side they are on."""
 
@@ -171,20 +235,20 @@ class TestWalkFilter:
         for d in self.offsets():
             hi = coder.frame.pair(spec.d1 + d)  # [c, d1 + d) straddles d1
             with pytest.raises(StraddlesDiscontinuity, match="discontinuity of the exchange"):
-                _walk_interval(coder, coder.c, hi, coder.c, coder.end)
+                walk_interval(coder, coder.c, hi, coder.c, coder.end)
 
-    def test_overlap_with_j(self, spec, monkeypatch):
+    def test_overlap_with_j(self, spec):
         """[c, c + 1/100) maps to [x, x + 1/100) with x = c + 1 - e; a J
         ending at x + d overlaps it by d, and the walk must see that at
         its first step instead of running out of its one-step budget."""
-        monkeypatch.setattr(iet3.invariance, "STEP_BUDGET", 1)
         x = spec.c + 1 - spec.eps
         coder = OrbitCoder(spec, [spec.c + Fraction(1, 100), x - Fraction(1, 10)])
         fr = coder.frame
         lo, hi = coder.c, fr.pair(spec.c + Fraction(1, 100))
         for d in self.offsets():
             with pytest.raises(StraddlesDiscontinuity, match="endpoint of J"):
-                _walk_interval(coder, lo, hi, fr.pair(x - Fraction(1, 10)), fr.pair(x + d))
+                walk_interval(coder, lo, hi, fr.pair(x - Fraction(1, 10)), fr.pair(x + d),
+                              budget=1)
 
 
 class TestAncestor:

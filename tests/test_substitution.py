@@ -50,6 +50,15 @@ class TestMorphism:
         rev = WORKED.reversed_images()
         assert rev.images["A"] == "CACBB"
 
+    def test_relabel_three_cycle(self):
+        """A -> B -> C -> A moves every letter, so a table that mapped
+        letters one after another would map some twice."""
+        cycle = {"A": "B", "B": "C", "C": "A"}
+        moved = WORKED.relabel(cycle)
+        for a in "ABC":
+            assert moved.images[cycle[a]] == "".join(cycle[ch] for ch in WORKED.images[a])
+        assert moved.relabel({v: k for k, v in cycle.items()}) == WORKED
+
 
 class TestIncidence:
     def test_worked_rows(self):
