@@ -30,7 +30,7 @@ from .errors import (InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded
                      WitnessRejected)
 from .iet import LETTERS, IetSpec, OrbitCoder, make_spec, step
 from .qfield import QuadNum, denominator
-from .quadunit import ScalingUnit, class_fixing_power, lemma_unit
+from .quadunit import ScalingUnit, class_fixing_power, integer_matrix, lemma_unit
 from .substitution import Substitution
 
 __all__ = [
@@ -47,12 +47,17 @@ __all__ = [
 ]
 
 STEP_BUDGET = 10**6  # cap on the letters of phi, and on the steps of an ancestor search
-_REVERSAL_SWAP = {"A": "C", "B": "B", "C": "A"}
+_REVERSAL_SWAP = str.maketrans("AC", "CA")
 
 
 @dataclass(frozen=True)
 class ReturnSystem:
-    """First return data on J = lam' * [c, c+l)."""
+    """First return data on J = lam' * [c, c+l).
+
+    For eps' > 1 the return map is that of the reversal-reduced spec, so
+    `return_names` are its words: phi(C), phi(B), phi(A) reversed with A
+    and C swapped, and `return_times` lists |phi(C)|, |phi(B)|, |phi(A)|.
+    """
 
     j_start: QuadNum
     j_end: QuadNum
@@ -237,11 +242,15 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     fr = coder.frame
     cuts = [fr.pair(x) for x in scaled]
     moves = [fr.pair(conj * s) for s in spec.shifts()]
-    conj0 = lemma_unit(spec.field).conjugate()
-    windows, scale = [], conj0
-    while scale > conj:
-        windows.append((fr.pair(scale * spec.c), fr.pair(scale * spec.end)))
-        scale = scale * conj0
+    # pair(lam0' * x) = M' * pair(x), and lam0'^k > lam' iff lam0'^k * (c+l) > J's end
+    (m00, m01), (m10, m11) = integer_matrix(lemma_unit(spec.field).conjugate())
+    windows, lo, hi = [], coder.c, coder.end
+    while True:
+        lo = (m00 * lo[0] + m01 * lo[1], m10 * lo[0] + m11 * lo[1])
+        hi = (m00 * hi[0] + m01 * hi[1], m10 * hi[0] + m11 * hi[1])
+        if fr.cmp(hi, cuts[3]) <= 0:
+            break
+        windows.append((lo, hi))
     windows.append((cuts[0], cuts[3]))
     ends = (coder.c, coder.d1, coder.d2, coder.end)
     pieces = [(a, b, s, 1, ()) for a, b, s in zip(ends, ends[1:], coder.shift)]  # I_i
@@ -255,12 +264,11 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     # without the homothety, phi(i) is the return word of the left end of lam' * I_i
     names = tuple(next(w for p, w in zip(pieces, texts) if fr.cmp(x, p[1]) < 0)
                   for x in cuts[:3])
-    sub = Substitution(("A", "B", "C"), dict(zip("ABC", names)))
     ret = ReturnSystem(scaled[0], scaled[3], tuple(zip(scaled[:3], scaled[1:4])), names, ok,
                        len(windows))
-    if reduced:
-        sub = sub.relabel(_REVERSAL_SWAP).reversed_images()
-    return ret, sub
+    if reduced:  # phi(A), phi(B), phi(C) are the words of C, B, A reversed, A and C swapped
+        names = [w[::-1].translate(_REVERSAL_SWAP) for w in reversed(names)]
+    return ret, Substitution(("A", "B", "C"), dict(zip("ABC", names)))
 
 
 def synthesize(spec: IetSpec):

@@ -16,7 +16,22 @@ from functools import cache
 from .errors import InvalidUnit, PerfectSquare
 from .qfield import FieldDesc, QuadNum, class_of
 
-__all__ = ["PellSolution", "ScalingUnit", "solve_pell", "lemma_unit", "class_fixing_power"]
+__all__ = ["PellSolution", "ScalingUnit", "solve_pell", "lemma_unit", "class_fixing_power",
+           "integer_matrix"]
+
+
+def integer_matrix(x: QuadNum):
+    """Integer matrix of multiplication by x on Z[e] in basis {1, e}.
+
+    Its columns are the coordinates of x * 1 and x * e, so it maps the
+    coordinates of y to those of x * y.  Raises InvalidUnit when x does
+    not map Z[e] into itself.
+    """
+    xe = x * x.field.eps()
+    m = [[x.a, xe.a], [x.b, xe.b]]
+    if any(v.denominator != 1 for row in m for v in row):
+        raise InvalidUnit(f"{x} does not preserve Z[e]")
+    return [[int(v) for v in row] for row in m]
 
 
 @dataclass(frozen=True)
@@ -43,14 +58,7 @@ class ScalingUnit:
 
     def mult_matrix(self):
         """Integer matrix of multiplication by Lambda on Z[e] in basis {1, e}."""
-        one = self.lam
-        eps = self.lam * self.lam.field.eps()
-        m = [[one.a, eps.a], [one.b, eps.b]]
-        for row in m:
-            for v in row:
-                if v.denominator != 1:
-                    raise ValueError("Lambda does not preserve Z[e]")
-        return [[int(m[0][0]), int(m[0][1])], [int(m[1][0]), int(m[1][1])]]
+        return integer_matrix(self.lam)
 
     def is_valid(self) -> bool:
         lam, conj = self.lam, self.lam_conj
@@ -103,21 +111,26 @@ def class_fixing_power(lambda0: QuadNum, q: int, anchors) -> ScalingUnit:
 
     The conjugate multiplies (1/q)Z[e] into itself, so each anchor's class
     orbit is a cycle of length <= q^2 and s is the lcm of the cycle lengths.
+    The orbit runs on the classes (i, j) of (i + j*e)/q, which the integer
+    matrix of the conjugate maps to its product with (i, j), mod q.
+    Raises InvalidUnit when lambda0 is not a unit > 1 with conjugate in
+    (0, 1).
     """
-    field = lambda0.field
-    conj = lambda0.conjugate()
+    (m00, m01), (m10, m11) = integer_matrix(lambda0.conjugate())
     s = 1
     for anchor in anchors:
-        start = class_of(anchor, q)
-        y = conj * anchor
-        period = 1
-        while class_of(y, q) != start:
-            y = conj * y
+        start = i, j = class_of(anchor, q)
+        period = 0
+        while True:
+            i, j = (m00 * i + m01 * j) % q, (m10 * i + m11 * j) % q
             period += 1
-            if period > q * q:
+            if (i, j) == start:
+                break
+            if period >= q * q:
                 raise InvalidUnit(f"class orbit of {anchor} longer than q^2 = {q * q}; "
                                   f"{lambda0} is not a unit")
         s = s * period // math.gcd(s, period)
     unit = ScalingUnit(lam=lambda0**s, s=s, gamma=lambda0)
-    assert unit.is_valid()
+    if not unit.is_valid():
+        raise InvalidUnit(f"({lambda0})^{s} is not a unit > 1 with conjugate in (0, 1)")
     return unit

@@ -14,7 +14,7 @@ the blocks phi(u_m) aligned at 0; `verify_fixed_point` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,19 +27,32 @@ __all__ = ["Substitution", "complexity", "count_factors"]
 
 @dataclass(frozen=True)
 class Substitution:
+    """A morphism given by the image of each letter of `alphabet`.
+
+    Construction validates the images and counts their letters once; the
+    incidence rows are fixed then, so `images` must not be mutated.
+    """
+
     alphabet: Tuple[str, ...]
     images: Dict[str, str]
+    _rows: Tuple[Tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         letters = set(self.alphabet)
-        chars = [a for a in letters if len(a) == 1]  # the letters a character can be
+        # the positions of the letters a character can be, each letter once
+        chars = [k for k, a in enumerate(self.alphabet)
+                 if len(a) == 1 and self.alphabet.index(a) == k]
+        rows = []
         for letter in self.alphabet:
             img = self.images.get(letter)
             if not (img and isinstance(img, str)):
                 raise UnknownLetter(f"no (nonempty) string image for letter {letter!r}")
-            if sum(map(img.count, chars)) != len(img):
+            row = tuple(img.count(b) for b in self.alphabet)
+            if sum(row[k] for k in chars) != len(img):
                 bad = next(ch for ch in img if ch not in letters)
                 raise UnknownLetter(f"image letter {bad!r} not in alphabet")
+            rows.append(row)
+        object.__setattr__(self, "_rows", tuple(rows))
 
     # -- word action ----------------------------------------------------------
 
@@ -68,9 +81,7 @@ class Substitution:
 
     def incidence(self) -> List[List[int]]:
         """N[i][j] = number of occurrences of alphabet[j] in the image of alphabet[i]."""
-        return [
-            [self.images[a].count(b) for b in self.alphabet] for a in self.alphabet
-        ]
+        return [list(row) for row in self._rows]
 
     def is_primitive(self) -> bool:
         """Some power n <= |alphabet|^2 of the incidence matrix is positive."""
@@ -120,10 +131,11 @@ class Substitution:
         one = eps.field.one()
         v = (one - eps, one - 2 * eps, -eps)
         conj = lam.conjugate()
-        n = self.incidence()
-        for i in range(3):
-            lhs = n[i][0] * v[0] + n[i][1] * v[1] + n[i][2] * v[2]
-            if lhs != conj * v[i]:
+        for row, x in zip(self._rows, v):
+            # the coordinates of row . v, as integer combinations of v's
+            lhs = (sum(k * y.a for k, y in zip(row, v)), sum(k * y.b for k, y in zip(row, v)))
+            rhs = conj * x
+            if lhs != (rhs.a, rhs.b):
                 return False
         return True
 

@@ -307,6 +307,34 @@ class TestReversal:
             assert code_orbit(red, 0, n) == mirror(code_orbit(sp, -n, 0)), label
             assert code_orbit(red, -n, 0) == mirror(code_orbit(sp, 0, n)), label
 
+    def test_one_substitution_per_reversed_decide(self, monkeypatch):
+        """The reduced system's words are reversed and swapped as text, so
+        decide builds one Substitution and neither relabels nor reverses one."""
+        calls = {"__post_init__": 0, "relabel": 0, "reversed_images": 0}
+
+        def counting(name):
+            method = getattr(Substitution, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(Substitution, name, counting(name))
+        reversed_specs = 0
+        for label, sp in corpus():
+            if not sp.eps.conjugate() > 1:
+                continue
+            before = dict(calls)
+            rep = decide(sp)
+            if rep.verdict != "Invariant":
+                continue
+            reversed_specs += 1
+            assert rep.reversed_reduction, label
+            assert calls["__post_init__"] - before["__post_init__"] == 1, label
+        assert reversed_specs == 25
+        assert calls["relabel"] == calls["reversed_images"] == 0
+
     def test_reversal_synthesis_verifies(self, rev_spec):
         rep = decide(rev_spec)
         assert rep.verdict == "Invariant"

@@ -1,14 +1,17 @@
-"""Pell solver against brute force, unit construction in each field, and
-the class-fixing power of the scaling unit."""
+"""Pell solver against brute force, unit construction in each field, the
+integer multiplication matrix, and the class-fixing power of the scaling
+unit."""
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
+from conftest import corpus
 from iet3 import make_field, make_spec, solve_pell
-from iet3.qfield import class_of
-from iet3.quadunit import PellSolution, ScalingUnit, class_fixing_power, lemma_unit
+from iet3.qfield import class_of, denominator
+from iet3.quadunit import (PellSolution, ScalingUnit, class_fixing_power, integer_matrix,
+                           lemma_unit)
 from iet3.errors import InvalidUnit, PerfectSquare
 
 UNIT_FIELDS = {
@@ -69,6 +72,38 @@ class TestLemmaUnit:
             assert prod.b == m[1][0] * a + m[1][1] * b
 
 
+class TestIntegerMatrix:
+    @pytest.mark.parametrize("disc,fargs", sorted(UNIT_FIELDS.items()))
+    def test_matrix_of_conjugate_unit(self, disc, fargs):
+        f = make_field(*fargs)
+        conj = lemma_unit(f).conjugate()
+        m = integer_matrix(conj)
+        for (a, b) in [(1, 0), (0, 1), (3, -2), (-7, 5)]:
+            prod = conj * f.num(a, b)
+            assert (prod.a, prod.b) == (m[0][0] * a + m[0][1] * b, m[1][0] * a + m[1][1] * b)
+
+    def test_non_integral_matrix_is_invalid_unit(self):
+        """1/2 + e maps 1 outside Z[e]: an InvalidUnit, not a ValueError."""
+        f = make_field(1, 2, -1, 1)
+        lam = f.num(Fraction(1, 2), 1)
+        with pytest.raises(InvalidUnit):
+            ScalingUnit(lam=lam, s=1, gamma=lam).mult_matrix()
+        with pytest.raises(InvalidUnit):
+            integer_matrix(lam)
+
+
+def reference_power(lambda0, q, anchors):
+    """The class-fixing exponent by QuadNum products: the least s >= 1 with
+    lambda0'^s * a in the class of a mod Z[e] for every anchor a."""
+    conj, s = lambda0.conjugate(), 1
+    for anchor in anchors:
+        y, period = conj * anchor, 1
+        while class_of(y, q) != class_of(anchor, q):
+            y, period = conj * y, period + 1
+        s = s * period // gcd(s, period)
+    return s
+
+
 class TestClassFixingPower:
     def test_worked_example_power_is_one(self):
         from iet3 import parse_quadnum
@@ -109,3 +144,31 @@ class TestClassFixingPower:
         f = make_field(1, 2, -1, 1)
         with pytest.raises(InvalidUnit):
             class_fixing_power(f.rational(2), 2, [f.num(0, Fraction(-1, 2))])
+
+    @pytest.mark.parametrize("lambda0", [3, -1])
+    def test_non_unit_fixing_the_class_rejected(self, lambda0):
+        """3 and -1 fix the class of -e/2 mod Z[e] at once, but neither is a
+        unit > 1 with conjugate in (0, 1): InvalidUnit, also under -O."""
+        f = make_field(1, 2, -1, 1)
+        with pytest.raises(InvalidUnit):
+            class_fixing_power(f.rational(lambda0), 2, [f.num(0, Fraction(-1, 2))])
+
+    @pytest.mark.parametrize("disc,fargs", sorted(UNIT_FIELDS.items()))
+    def test_matches_quadnum_reference(self, disc, fargs):
+        """Every class (i + j*e)/q, q = 1..12, alone and all together."""
+        f = make_field(*fargs)
+        lam0 = lemma_unit(f)
+        for q in range(1, 13):
+            anchors = [f.num(Fraction(i, q), Fraction(j, q)) for i in range(q) for j in range(q)]
+            assert class_fixing_power(lam0, q, anchors).s == reference_power(lam0, q, anchors)
+            for anchor in anchors[1:q + 1]:
+                assert (class_fixing_power(lam0, q, [anchor]).s
+                        == reference_power(lam0, q, [anchor])), (q, anchor)
+
+    def test_matches_quadnum_reference_on_corpus(self):
+        for label, spec in corpus():
+            anchors = [spec.c, spec.end]
+            q, lam0 = denominator(anchors), lemma_unit(spec.field)
+            unit = class_fixing_power(lam0, q, anchors)
+            assert unit.s == reference_power(lam0, q, anchors), label
+            assert unit.lam == lam0 ** unit.s, label

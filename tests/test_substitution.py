@@ -4,7 +4,8 @@ verification, and factor complexity."""
 
 import pytest
 
-from iet3 import (Substitution, complexity, count_factors, code_orbit,
+from conftest import corpus
+from iet3 import (Substitution, complexity, count_factors, code_orbit, decide,
                   make_field, make_spec, parse_quadnum)
 from iet3.errors import NoSquareRoot, UnknownLetter
 from iet3.substitution import _matmul
@@ -75,6 +76,32 @@ class TestIncidence:
         assert WORKED.power(2).incidence() == _matmul(WORKED.incidence(),
                                                       WORKED.incidence())
 
+    @staticmethod
+    def counted(sub):
+        return [[sub.images[a].count(b) for b in sub.alphabet] for a in sub.alphabet]
+
+    def test_counts_on_corpus_witnesses(self):
+        witnesses = [(label, rep.substitution) for label, rep in
+                     ((label, decide(sp)) for label, sp in corpus())
+                     if rep.verdict == "Invariant"]
+        assert len(witnesses) == 59
+        for label, sub in witnesses:
+            assert sub.incidence() == self.counted(sub), label
+
+    @pytest.mark.parametrize("text", ["0 -> 01\n1 -> 12\n2 -> 230\n3 -> 3120",
+                                      "A -> AB\nB -> BAB\nAB -> A"])
+    def test_counts_on_text_alphabets(self, text):
+        """Four one-character letters, and a two-character letter that
+        counts as a factor of the images."""
+        sub = Substitution.from_text(text)
+        assert sub.incidence() == self.counted(sub)
+
+    def test_rows_are_copies(self):
+        rows = WORKED.incidence()
+        rows[0][0] = 99
+        rows.append([0, 0, 0])
+        assert WORKED.incidence() == [[1, 2, 2], [1, 4, 3], [1, 1, 2]]
+
 
 class TestSpectrum:
     def test_worked_eigenvalues(self):
@@ -102,6 +129,14 @@ class TestSpectrum:
         lam = parse_quadnum("5+2*e", F2)
         assert WORKED.check_eigenvector(spec.eps, lam)
         assert not WORKED.check_eigenvector(spec.eps, lam * lam)
+        assert not WORKED.check_eigenvector(spec.eps, F2.rational(1) / 2)
+
+    def test_eigenvector_rejects_swapped_counts(self, spec):
+        """A and C exchanged in the image of A: its row reads (2, 2, 1)."""
+        lam = parse_quadnum("5+2*e", F2)
+        swapped = Substitution(WORKED.alphabet, dict(WORKED.images, A="BBACA"))
+        assert swapped.incidence()[0] == [2, 2, 1]
+        assert not swapped.check_eigenvector(spec.eps, lam)
 
     def test_primitive(self):
         assert WORKED.is_primitive()
