@@ -15,8 +15,7 @@ because eta is irrational.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import DangerousEta, InvalidWindow
 from .iet import IetSpec, OrbitCoder
@@ -76,7 +75,7 @@ def point_value(cfg: CapSetConfig, p: Pair) -> QuadNum:
 _GAP = {"A": (1, 1), "B": (1, 2), "C": (0, 1)}
 
 
-def _scan(letters: Iterable[str], sign: int) -> List[Pair]:
+def _scan(letters: str, sign: int) -> List[Pair]:
     """The points reached from 0 by adding (sign 1) or subtracting (sign -1)
     the gap of each letter in turn."""
     p, out = (0, 0), []
@@ -96,8 +95,8 @@ def generate(cfg: CapSetConfig, count: int, back: int = 0) -> List[Pair]:
         raise ValueError("count and back must be nonnegative")
     # not make_spec: validate() also admits l = 1, where B never occurs
     coder = OrbitCoder(IetSpec(cfg.eps, cfg.window_len, cfg.window_start))
-    fwd = _scan(islice(coder.forward(), count), 1)
-    bwd = _scan(islice(coder.backward(), back), -1)
+    fwd = _scan(coder.letters(count)[0], 1)
+    bwd = _scan(coder.letters(back, back=True)[0], -1)
     return bwd[::-1] + [(0, 0)] + fwd
 
 

@@ -153,14 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha3")
         p.add_argument("--x0", help="raw starting point (with --alpha1..3)")
 
-    def add_output_args(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def add_output_args(p, formats=False):
+        if formats:  # the commands that have a JSON form
+            p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write to this path instead of stdout")
 
     for name in ("decide", "synthesize"):
         p = sub.add_parser(name, help=f"{name} for one parameter set")
         add_spec_args(p)
-        add_output_args(p)
+        add_output_args(p, formats=True)
 
     p = sub.add_parser("generate", help="emit letters of the orbit word")
     add_spec_args(p)
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complexity", help="factor complexity table")
     add_spec_args(p)
-    add_output_args(p)
+    add_output_args(p, formats=True)
     p.add_argument("--n-max", type=int, default=30)
     p.add_argument("--radius", type=int, default=10**5, help="count in letters [-radius, radius)")
 

@@ -10,24 +10,28 @@ Valid parameters satisfy eps in (0,1), 1 > l > max(1-eps, eps) and
 0 in [c, c+l); all intervals are left-closed right-open.
 
 `step` and `inverse_step` act on QuadNums and are the plain reference.
-Every loop instead runs `OrbitCoder`, which keeps points as integer pairs
+Every orbit is instead coded by one kernel, `code`, on the integer pairs
 of a `qfield.Frame`: a step is an integer addition and a letter at most
-two comparisons with the cuts.  Floats only filter these comparisons: a
-float margin inside the frame's error bound is decided by the exact
-`Frame.cmp`.  `code_orbit` is its word-level wrapper.
+two comparisons with the cuts, and it returns the letters as text.
+Floats only filter these comparisons: a float margin inside the frame's
+error bound is decided by the exact `Frame.cmp`.  `OrbitCoder.letters`
+runs it forward or backward; `OrbitCoder.points` derives the orbit points
+from that text as running sums of the moves, so nothing else decides a
+letter.  `code_orbit` is the word-level wrapper; `sturmian.sturmian_word`
+runs the same kernel on a rotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
-from typing import Iterable, Iterator, Optional, Tuple
+from itertools import accumulate, chain
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .errors import OutOfDomain, RationalSlope
 from .qfield import FieldDesc, Frame, QuadNum
 
 __all__ = ["IetSpec", "make_spec", "normalize", "step", "inverse_step", "code_orbit",
-           "non_degenerate", "OrbitCoder", "orbit_window"]
+           "non_degenerate", "code", "OrbitCoder", "orbit_window"]
 
 LETTERS = "ABC"
 
@@ -136,13 +140,60 @@ def non_degenerate(spec: IetSpec) -> bool:
     return not spec.l.in_z_eps()
 
 
+def code(frame: Frame, start, n: int, cut1, cut2, moves, names: str):
+    """(text, end point) of n steps of an exchange with two cuts.
+
+    A point below `cut1` reads names[0] and moves by moves[0], one below
+    `cut2` names[1] and moves[1], any other names[2] and moves[2]; points,
+    cuts and moves are integer pairs of `frame`.  Each comparison is the
+    float margin t = approx(x) - approx(cut) against the frame's error
+    bound, with `Frame.cmp` inside it.  A pair grows by at most one move
+    per step, so the bound of the chunk of steps k ... 2k + 63 is taken at
+    step 2k + 64.  This is the one loop that decides an orbit's letters.
+    """
+    L, ef, cmp = frame.L, frame.ef, frame.cmp
+    f1, f2 = frame.approx(cut1), frame.approx(cut2)
+    (a0, a1), (b0, b1), (c0, c1) = moves
+    na, nb, nc = names
+    base, grow = frame.size(start) + frame.size(cut1, cut2), frame.size(*moves)
+    x0, x1 = start
+    out, k = [], 0
+    append = out.append
+    while k < n:
+        check = 2 * k + 64
+        tol = frame.tol(base + check * grow)
+        ntol = -tol
+        for _ in range(min(n, check) - k):
+            v = x0 / L + x1 / L * ef
+            if (t := v - f1) < ntol or t <= tol and cmp((x0, x1), cut1) < 0:
+                append(na)
+                x0 += a0
+                x1 += a1
+            elif (t := v - f2) < ntol or t <= tol and cmp((x0, x1), cut2) < 0:
+                append(nb)
+                x0 += b0
+                x1 += b1
+            else:
+                append(nc)
+                x0 += c0
+                x1 += c1
+        k = check
+    return "".join(out), (x0, x1)
+
+
+def _add(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
 class OrbitCoder:
     """Exact orbit coding on the integer pairs of a `Frame`.
 
     The frame holds c, l, eps and any `extra` numbers the caller wants to
-    compare orbit points with.  Points are pairs; the letter of a point
-    is decided against the cuts d1, d2 (forward) or c+l-eps, c+1-eps
-    (backward, where the images tile the domain as T(I3), T(I2), T(I1)).
+    compare orbit points with.  `letters` codes the orbit with `code`: the
+    letter of a point is decided against the cuts d1, d2 (forward) or
+    c+l-eps, c+1-eps (backward, where the images tile the domain as
+    T(I3), T(I2), T(I1)).  Everything else reads its text: `points`
+    rebuilds the orbit points as running sums of the moves.
     """
 
     def __init__(self, spec: IetSpec, extra: Iterable[QuadNum] = ()):
@@ -151,60 +202,50 @@ class OrbitCoder:
             spec.c, spec.d1, spec.d2, spec.end, spec.end - spec.eps, spec.c + 1 - spec.eps))
         # forward shifts for letters A, B, C
         self.shift = tuple(fr.pair(s) for s in spec.shifts())
+        back = tuple((-s[0], -s[1]) for s in self.shift)
+        self._moves = (dict(zip(LETTERS, self.shift)), dict(zip(LETTERS, back)))
+        # code's arguments: backward, T^-1 reads C below b1, B below b2, else A
+        self._code = ((self.d1, self.d2, self.shift, LETTERS),
+                      (self.b1, self.b2, back[::-1], "CBA"))
+
+    def letters(self, n: int, start=(0, 0), back: bool = False) -> Tuple[str, Tuple[int, int]]:
+        """(u_0 ... u_{n-1}, T^n(start)) of the orbit of `start`; with
+        back=True, (u_-1 ... u_-n, T^-n(start)).  Resuming from the returned
+        point continues the same word."""
+        return code(self.frame, start, n, *self._code[back])
+
+    def points(self, text: str, start=(0, 0), back: bool = False) -> List[Tuple[int, int]]:
+        """The orbit point of each letter of `text`, read from `start` as
+        `letters` reads it: T^k(start) for u_k, or T^-k-1(start) for u_-k-1."""
+        pts = list(accumulate((self._moves[back][a] for a in text), _add, initial=start))
+        return pts[1:] if back else pts[:-1]
+
+    def _chunks(self, start, back):
+        """(first point, text) of `letters` read on from `start`, in chunks
+        of doubling length."""
+        n = 64
+        while True:
+            text, end = self.letters(n, start, back)
+            yield start, text
+            start, n = end, 2 * n
 
     def forward_points(self, start=(0, 0)) -> Iterator[Tuple[Tuple[int, int], int]]:
         """(T^n(start), index of its letter) for n = 0, 1, ..."""
-        fr = self.frame
-        cmp, L, ef, d1, d2, shift = fr.cmp, fr.L, fr.ef, self.d1, self.d2, self.shift
-        f1, f2 = fr.approx(d1), fr.approx(d2)
-        base, step = fr.size(start) + fr.size(d1, d2), fr.size(*shift)
-        x, check = start, 0
-        for n in count():
-            if n == check:  # a pair grows by at most one shift per step
-                check = 2 * n + 64
-                tol = fr.tol(base + check * step)
-            v = x[0] / L + x[1] / L * ef
-            if (t := v - f1) < -tol or t <= tol and cmp(x, d1) < 0:
-                i = 0
-            elif (t := v - f2) < -tol or t <= tol and cmp(x, d2) < 0:
-                i = 1
-            else:
-                i = 2
-            yield x, i
-            s = shift[i]
-            x = (x[0] + s[0], x[1] + s[1])
+        for x, text in self._chunks(start, False):
+            yield from zip(self.points(text, x), map(LETTERS.index, text))
 
     def backward_points(self, start=(0, 0)) -> Iterator[Tuple[Tuple[int, int], int]]:
         """(T^-n(start), index of its letter) for n = 1, 2, ..."""
-        fr = self.frame
-        cmp, L, ef, b1, b2, shift = fr.cmp, fr.L, fr.ef, self.b1, self.b2, self.shift
-        f1, f2 = fr.approx(b1), fr.approx(b2)
-        base, step = fr.size(start) + fr.size(b1, b2), fr.size(*shift)
-        x, check = start, 0
-        for n in count():
-            if n == check:
-                check = 2 * n + 64
-                tol = fr.tol(base + check * step)
-            v = x[0] / L + x[1] / L * ef
-            if (t := v - f1) < -tol or t <= tol and cmp(x, b1) < 0:
-                i = 2
-            elif (t := v - f2) < -tol or t <= tol and cmp(x, b2) < 0:
-                i = 1
-            else:
-                i = 0
-            s = shift[i]
-            x = (x[0] - s[0], x[1] - s[1])
-            yield x, i
+        for x, text in self._chunks(start, True):
+            yield from zip(self.points(text, x, True), map(LETTERS.index, text))
 
     def forward(self, start=(0, 0)) -> Iterator[str]:
-        """Letters u_0, u_1, ... coding the forward orbit."""
-        for _x, i in self.forward_points(start):
-            yield LETTERS[i]
+        """Letters u_0, u_1, ... of `letters`, streamed in chunks."""
+        return chain.from_iterable(text for _x, text in self._chunks(start, False))
 
     def backward(self, start=(0, 0)) -> Iterator[str]:
-        """Letters u_-1, u_-2, ... coding the backward orbit."""
-        for _x, i in self.backward_points(start):
-            yield LETTERS[i]
+        """Letters u_-1, u_-2, ... of `letters`, streamed in chunks."""
+        return chain.from_iterable(text for _x, text in self._chunks(start, True))
 
 
 def code_orbit(spec: IetSpec, frm: int, to: int) -> str:
@@ -215,10 +256,10 @@ def code_orbit(spec: IetSpec, frm: int, to: int) -> str:
     parts = []
     if frm < 0:
         # u_-1 comes out first; trim to [frm, min(to,0)) and restore order
-        back = "".join(islice(coder.backward(), -frm))
+        back, _ = coder.letters(-frm, back=True)
         parts.append((back[-to:] if to < 0 else back)[::-1])
     if to > 0:
-        parts.append("".join(islice(coder.forward(), to))[max(frm, 0):])
+        parts.append(coder.letters(to)[0][max(frm, 0):])
     return "".join(parts)
 
 

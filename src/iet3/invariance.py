@@ -15,15 +15,16 @@ from 0 = lam' * 0, u = phi(u) on both sides.  J is scaled by the one unit
 `STEP_BUDGET` letters, and an ancestor search at most as many steps.
 
 The induction compares the integer pairs of one `iet.OrbitCoder` frame,
-exactly, with `Frame.cmp`; the ancestor search and the block-start check
-run on the coder's points.  The block cut is `Substitution.block_starts`,
-the one `verify_fixed_point` makes.
+exactly, with `Frame.cmp`; the ancestor search runs on the coder's points,
+exact at every point.  The block-start check reads the coder's text and
+tests each point's membership in J and in lam' * I_i through the frame's
+float filter, with `Frame.cmp` inside the error bound.  The block cut is
+`Substitution.block_starts`, the one `verify_fixed_point` makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import islice
 from typing import Dict, Optional, Tuple
 
 from .errors import (InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded,
@@ -150,22 +151,31 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
     conj = unit.lam_conj
     scaled = [conj * x for x in (spec.c, spec.d1, spec.d2, spec.end)]
     coder = OrbitCoder(spec, scaled)
-    cmp = coder.frame.cmp
+    fr = coder.frame
+    cmp, L, ef = fr.cmp, fr.L, fr.ef
     # J = [cuts[0], cuts[3]) and lam' * I_i = [cuts[i], cuts[i+1])
-    cuts = [coder.frame.pair(x) for x in scaled]
-    for points, back in ((islice(coder.forward_points(), window), False),
-                         (islice(coder.backward_points(), window - 1), True)):
-        points = list(points)
-        starts = sub.block_starts("".join(LETTERS[i] for _x, i in points), back)
+    cuts = [fr.pair(x) for x in scaled]
+    approx = [fr.approx(p) for p in cuts]
+    # every point is within `window` moves of 0
+    tol = fr.tol(window * fr.size(*coder.shift) + fr.size(*cuts))
+
+    def below(x, v, j):  # x < cuts[j], by the float margin and exactly inside its bound
+        t = v - approx[j]
+        return t < -tol or t <= tol and cmp(x, cuts[j]) < 0
+
+    for n, back in ((window, False), (window - 1, True)):
+        text, _ = coder.letters(n, back=back)
+        starts = sub.block_starts(text, back)
         if starts is None:
             return False
-        for k, (x, _i) in enumerate(points):
-            in_j = cmp(x, cuts[0]) >= 0 and cmp(x, cuts[3]) < 0
+        for k, x in enumerate(coder.points(text, back=back)):
+            v = x[0] / L + x[1] / L * ef
+            in_j = not below(x, v, 0) and below(x, v, 3)
             if in_j != (k in starts):
                 return False
             if in_j:
                 i = LETTERS.index(starts[k])
-                if not (cmp(x, cuts[i]) >= 0 and cmp(x, cuts[i + 1]) < 0):
+                if below(x, v, i) or not below(x, v, i + 1):
                     return False
     return True
 

@@ -13,9 +13,12 @@ those identities letter by letter, and checking that the three-letter
 decision agrees with the two Sturmian decisions, are the strongest
 independent cross-checks of the main decision procedure.
 
-`sturmian_word` decides each letter with the float filter of a
-`qfield.Frame`: a float margin inside the frame's error bound is decided
-by the exact `Frame.cmp`, so floats never decide a letter on their own.
+`sturmian_word` codes the rotation by the slope with the orbit kernel
+`iet.code`: a rotation is an exchange with one cut, and the kernel decides
+each letter with the float filter of a `qfield.Frame`, exactly by
+`Frame.cmp` inside its error bound, so floats never decide a letter on
+their own.  Ceiling rounding is the floor word of the complementary
+slope and intercept with 0 and 1 swapped.
 """
 
 from __future__ import annotations
@@ -23,15 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnknownLetter
-from .iet import IetSpec, OrbitCoder, non_degenerate
+from .iet import IetSpec, OrbitCoder, code, non_degenerate
 from .invariance import decide, is_sturm
 from .qfield import Frame, QuadNum
 
 __all__ = ["SturmianSpec", "sturmian_word", "sigma", "sturmian_images_match",
            "yasutomi", "corollary_crosscheck"]
 
-SIGMA_01 = {"A": "0", "B": "01", "C": "1"}
-SIGMA_10 = {"A": "0", "B": "10", "C": "1"}
+SIGMA_01 = str.maketrans({"A": "0", "B": "01", "C": "1"})
+SIGMA_10 = str.maketrans({"A": "0", "B": "10", "C": "1"})
+_NOT_ABC = str.maketrans("", "", "ABC")  # deletes A, B and C
 
 
 @dataclass(frozen=True)
@@ -51,41 +55,27 @@ class SturmianSpec:
             raise ValueError("rounding must be 'floor' or 'ceiling'")
 
 
+def _frac(x: QuadNum) -> QuadNum:
+    return x - x.floor()
+
+
 def sturmian_word(spec: SturmianSpec, n: int) -> str:
     """First n letters u_k = round((k+1)a + x0) - round(ka + x0), exactly.
 
-    Runs on the integer pairs of a Frame: u_k = 1 iff k*a + x0 + a passes
-    the next integer, decided by one comparison per letter through the
-    frame's float filter, exact inside its bound.
+    For floor rounding u_k = 1 iff frac(ka + x0) >= 1 - a: the coding of
+    the rotation y -> y + a mod 1 from x0, an exchange with the one cut
+    1 - a (given twice) and the moves a, a - 1, run by `iet.code`.  As
+    ceil(z) = -floor(-z), the ceiling word is the floor word of slope
+    1 - a and intercept frac(-x0) with 0 and 1 swapped.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    fr = Frame(spec.alpha.field, [spec.alpha, spec.x0])
-    cmp, L, ef, al = fr.cmp, fr.L, fr.ef, fr.pair(spec.alpha)
-    strict = spec.rounding == "ceiling"
-    # y = k*alpha + x0 - r, scaled by L, where r is the current rounded
-    # value; x0 in [0,1) so floor is 0, ceiling is 1 unless x0 == 0
-    y = fr.pair(spec.x0 - 1 if strict and spec.x0.sign() > 0 else spec.x0)
-    # the rounded value advances when floor: y >= 1; ceiling: y > 0
-    # (slope < 1 means at most one advance per step)
-    target = (0, 0) if strict else (L, 0)
-    ft = fr.approx(target)
-    # y gains alpha and loses at most 1 per letter
-    base, step = fr.size(y) + fr.size(target), fr.size(al) + fr.size((L, 0))
-    out, check = [], 0
-    for k in range(n):
-        if k == check:
-            check = 2 * k + 64
-            tol = fr.tol(base + check * step)
-        y = (y[0] + al[0], y[1] + al[1])
-        t = y[0] / L + y[1] / L * ef - ft
-        s = 1 if t > tol else -1 if t < -tol else cmp(y, target)
-        if s > 0 or (s == 0 and not strict):
-            y = (y[0] - L, y[1])
-            out.append("1")
-        else:
-            out.append("0")
-    return "".join(out)
+    alpha, x0, names = spec.alpha, spec.x0, "0?1"  # the middle letter never occurs
+    if spec.rounding == "ceiling":
+        alpha, x0, names = 1 - alpha, _frac(-x0), "1?0"
+    fr = Frame(alpha.field, [alpha, x0])
+    a, cut = fr.pair(alpha), fr.pair(1 - alpha)
+    return code(fr, fr.pair(x0), n, cut, cut, (a, a, (a[0] - fr.L, a[1])), names)[0]
 
 
 def sigma(variant: str, word: str) -> str:
@@ -93,26 +83,24 @@ def sigma(variant: str, word: str) -> str:
     table = {"01": SIGMA_01, "10": SIGMA_10}.get(variant)
     if table is None:
         raise ValueError("variant must be '01' or '10'")
-    try:
-        return "".join(table[ch] for ch in word)
-    except KeyError as exc:
-        raise UnknownLetter(f"letter {exc.args[0]!r} not in ABC") from None
-
-
-def _frac(x: QuadNum) -> QuadNum:
-    return x - x.floor()
+    unknown = word.translate(_NOT_ABC)
+    if unknown:
+        raise UnknownLetter(f"letter {unknown[0]!r} not in ABC")
+    return word.translate(table)
 
 
 def sturmian_images_match(spec3: IetSpec, radius: int) -> bool:
     """Do the sigma images of the exchange word equal the predicted
     Sturmian words (slope 1-eps, intercept -c mod 1; slope 1-eps,
     intercept -(l+c) mod 1) over `radius` letters of the images?"""
-    # read until the images (B gives two letters, A and C one) reach radius
-    letters, word, length = OrbitCoder(spec3).forward(), [], 0
+    # read the fewest letters whose images reach radius: B gives two image
+    # letters, A and C one, so the next ceil(short/2) letters never overshoot
+    coder, parts, x, length = OrbitCoder(spec3), [], (0, 0), 0
     while length < radius:
-        word.append(next(letters))
-        length += len(SIGMA_01[word[-1]])
-    word = "".join(word)
+        text, x = coder.letters((radius - length + 1) // 2, x)
+        parts.append(text)
+        length += len(text) + text.count("B")
+    word = "".join(parts)
     eps, one = spec3.eps, spec3.field.one()
     expected01 = sturmian_word(SturmianSpec(one - eps, _frac(-spec3.c)), radius)
     expected10 = sturmian_word(SturmianSpec(one - eps, _frac(-(spec3.l + spec3.c))), radius)

@@ -15,7 +15,6 @@ the blocks phi(u_m) aligned at 0; `verify_fixed_point` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NoSquareRoot, UnknownLetter
@@ -170,8 +169,8 @@ class Substitution:
         if radius < 1:
             raise ValueError("radius must be at least 1")
         coder = OrbitCoder(spec)
-        return all(self.block_starts("".join(islice(letters, radius)), back) is not None
-                   for letters, back in ((coder.forward(), False), (coder.backward(), True)))
+        return all(self.block_starts(coder.letters(radius, back=back)[0], back) is not None
+                   for back in (False, True))
 
     # -- serialization --------------------------------------------------------
 

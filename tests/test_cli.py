@@ -307,3 +307,21 @@ def test_only_complexity_takes_a_radius():
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices
     assert {name for name, p in commands.items()
             if "--radius" in p._option_string_actions} == {"complexity"}
+
+
+def test_format_refused_where_it_has_no_json_form(capsys):
+    """--format is an error, not a no-op, on commands whose output has one
+    form: generate prints letters, capset TSV and sweep JSONL."""
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", *WORKED, "--format", "json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --format json" in err
+
+
+def test_format_only_where_output_has_two_forms():
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert {name for name, p in commands.items()
+            if "--format" in p._option_string_actions} == {"decide", "synthesize", "complexity"}
+    assert {name for name, p in commands.items()
+            if "--output" not in p._option_string_actions} == {"verify"}

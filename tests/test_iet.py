@@ -195,3 +195,44 @@ class TestFloatFilter:
                     z = cut + b * F5.eps() - a
                     got = ["ABC"[i] for _x, i in islice(pair(coder.frame.pair(z)), 20)]
                     assert got == [letter for _z, letter in reference(sp, z, 20, back)]
+
+
+class TestKernel:
+    """`OrbitCoder.letters`, the one loop that decides orbit letters,
+    against the QuadNum maps, across the chunk ends of its error bound
+    (steps 64, 192, 448)."""
+
+    @pytest.fixture(scope="class", params=[0, Fraction(1, 3 * 10**400)])
+    def twin(self, request):
+        """The s = 4 sqrt5-neg spec of TestFloatFilter, and its twin with c
+        moved by 10^-400/3, with 1001 reference steps each way."""
+        sp = make_spec(F5.eps(), parse_quadnum("1-1/2*e", F5),
+                       parse_quadnum("-1/3*e", F5) - request.param)
+        return sp, {back: reference(sp, F5.zero(), 1001, back) for back in (False, True)}
+
+    @pytest.mark.parametrize("back", [False, True])
+    @pytest.mark.parametrize("n", [63, 64, 65, 191, 192, 193, 1000])
+    def test_letters_match_step(self, twin, n, back):
+        sp, ref = twin
+        coder = OrbitCoder(sp)
+        text, end = coder.letters(n, back=back)
+        assert text == "".join(letter for _z, letter in ref[back][:n])
+        # the reference pairs u_k with T^k(0) forward, u_-k-1 with T^-k-1(0) backward
+        assert coder.frame.point(end) == ref[back][n - 1 if back else n][0]
+        assert [coder.frame.point(x) for x in coder.points(text, back=back)] == \
+            [z for z, _letter in ref[back][:n]]
+
+    @pytest.mark.parametrize("back", [False, True])
+    @pytest.mark.parametrize("a, b", [(0, 5), (1, 63), (64, 128), (100, 900)])
+    def test_resume_continues_the_word(self, twin, a, b, back):
+        coder = OrbitCoder(twin[0])
+        head, mid = coder.letters(a, back=back)
+        tail, end = coder.letters(b, mid, back=back)
+        assert (head + tail, end) == coder.letters(a + b, back=back)
+
+    @pytest.mark.parametrize("back", [False, True])
+    def test_streams_read_letters(self, twin, back):
+        """The streaming readers join chunks of `letters` (64, 128, ...)."""
+        coder = OrbitCoder(twin[0])
+        stream = coder.backward() if back else coder.forward()
+        assert "".join(islice(stream, 1000)) == coder.letters(1000, back=back)[0]

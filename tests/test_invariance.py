@@ -4,6 +4,7 @@ against the letter-by-letter return walk), the ancestor criterion, block
 starts, and the reversal reduction for slopes with conjugate above 1."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -12,7 +13,7 @@ from conftest import convergents, corpus
 from iet3 import (OrbitCoder, ancestor, check_block_starts, check_lemma_ancestor,
                   code_orbit, decide, is_sturm, make_field, make_spec,
                   parse_quadnum, reduce_by_reversal, step, synthesize,
-                  Substitution)
+                  ScalingUnit, Substitution)
 from iet3.invariance import return_substitution
 from iet3.errors import (InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded,
                          StraddlesDiscontinuity, WitnessRejected)
@@ -95,6 +96,31 @@ def count_levels(monkeypatch, induce=iet3.invariance._induce):
     return calls
 
 
+def exact_block_starts(spec, unit, sub, window):
+    """`check_block_starts` without its float filter: `Frame.cmp` on every
+    point of the coder's point streams (the reference for the filter)."""
+    conj = unit.lam_conj
+    scaled = [conj * x for x in (spec.c, spec.d1, spec.d2, spec.end)]
+    coder = OrbitCoder(spec, scaled)
+    cmp = coder.frame.cmp
+    cuts = [coder.frame.pair(x) for x in scaled]
+    for points, back in ((islice(coder.forward_points(), window), False),
+                         (islice(coder.backward_points(), window - 1), True)):
+        points = list(points)
+        starts = sub.block_starts("".join("ABC"[i] for _x, i in points), back)
+        if starts is None:
+            return False
+        for k, (x, _i) in enumerate(points):
+            in_j = cmp(x, cuts[0]) >= 0 and cmp(x, cuts[3]) < 0
+            if in_j != (k in starts):
+                return False
+            if in_j:
+                i = "ABC".index(starts[k])
+                if not (cmp(x, cuts[i]) >= 0 and cmp(x, cuts[i + 1]) < 0):
+                    return False
+    return True
+
+
 class TestSynthesize:
     def test_verified_witness(self, spec):
         unit, ret, sub = synthesize(spec)
@@ -120,6 +146,32 @@ class TestSynthesize:
         images["B"] = images["B"][::-1]
         wrong = Substitution(("A", "B", "C"), images)
         assert not check_block_starts(spec, report.unit, wrong, 1000)
+
+    def test_block_starts_filter_matches_exact_on_corpus(self):
+        """The float-filtered block-start check agrees with the exact one on
+        every Invariant corpus witness, and on three wrong ones: B's image
+        reversed, B's and C's images swapped, and the right images with the
+        unit squared, whose smaller J misses some block starts."""
+        invariant = [(sp, rep) for sp, rep in ((sp, decide(sp)) for _label, sp in corpus())
+                     if rep.verdict == "Invariant"]
+        assert len(invariant) == 59
+        rejected = [0, 0, 0]
+        for sp, rep in invariant:
+            unit, images = rep.unit, rep.substitution.images
+            assert check_block_starts(sp, unit, rep.substitution, 1000)
+            assert exact_block_starts(sp, unit, rep.substitution, 1000)
+            squared = ScalingUnit(unit.lam ** 2, 2 * unit.s, unit.gamma)
+            for kind, (u, wrong) in enumerate((
+                    (unit, dict(images, B=images["B"][::-1])),
+                    (unit, dict(images, B=images["C"], C=images["B"])),
+                    (squared, images))):
+                sub = Substitution(("A", "B", "C"), wrong)
+                got = check_block_starts(sp, u, sub, 1000)
+                assert got == exact_block_starts(sp, u, sub, 1000)
+                rejected[kind] += not got
+        # a wrong block can pass as far as the window reaches (47, 34 and 31
+        # of the 59 are rejected)
+        assert min(rejected) > len(invariant) // 2
 
     def test_rejected_witness_is_named(self, monkeypatch, spec):
         """A witness that fails a check is rejected after the one ladder

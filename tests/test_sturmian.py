@@ -99,9 +99,13 @@ class TestImagesMatch:
         """The sigma images are read to `radius` letters and no further,
         and match sturmian_word computed directly."""
         read = []
-        forward = iet3.sturmian.OrbitCoder.forward
-        monkeypatch.setattr(iet3.sturmian.OrbitCoder, "forward",
-                            lambda self: (read.append(ch) or ch for ch in forward(self)))
+        letters = iet3.sturmian.OrbitCoder.letters
+
+        def spy(self, *args, **kwargs):
+            text, end = letters(self, *args, **kwargs)
+            read.append(text)
+            return text, end
+        monkeypatch.setattr(iet3.sturmian.OrbitCoder, "letters", spy)
         assert sturmian_images_match(spec, radius)
         word = "".join(read)
         assert len(sigma("01", word)) >= radius > len(sigma("01", word[:-1]))
@@ -162,3 +166,18 @@ class TestCorollary:
                        parse_quadnum("-1/2*e", F2))
         with pytest.raises(ValueError):
             corollary_crosscheck(sp)
+
+
+class TestRotationCoding:
+    @pytest.mark.parametrize("rounding", ["floor", "ceiling"])
+    def test_matches_exact_rounding(self, rounding):
+        """450 letters, past the chunk ends of the kernel's error bound
+        (steps 64, 192, 448), against round((k+1)e + x0) - round(ke + x0)
+        in QuadNums, for x0 = 0 and the near-crossing intercepts of
+        test_crossings_within_float_error."""
+        e, n = F5.eps(), 450
+        rnd = (lambda x: x.floor()) if rounding == "floor" else (lambda x: -(-x).floor())
+        for x0 in [F5.zero()] + [1 - e + (b * e - a) for a, b in convergents(F5, 10**12)[-6:]]:
+            values = [rnd(k * e + x0) for k in range(n + 1)]
+            want = "".join(str(values[k + 1] - values[k]) for k in range(n))
+            assert sturmian_word(SturmianSpec(e, x0, rounding), n) == want
