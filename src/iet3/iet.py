@@ -185,6 +185,18 @@ def _add(p, q):
     return (p[0] + q[0], p[1] + q[1])
 
 
+def spec_pairs(one, eps, c, l):
+    """The pairs of the cuts (c, d1, d2, c+l) and of the shifts of A, B, C,
+    given the pairs of 1, eps, c and l.  Each is an integer combination of
+    those four, so given the pairs of lam' * (1, eps, c, l) it returns the
+    cuts and shifts scaled by lam'."""
+    (u0, u1), (e0, e1), (c0, c1), (l0, l1) = one, eps, c, l
+    end = (c0 + l0, c1 + l1)
+    cuts = ((c0, c1), (end[0] - u0 + e0, end[1] - u1 + e1), (c0 + e0, c1 + e1), end)
+    shifts = ((u0 - e0, u1 - e1), (u0 - 2 * e0, u1 - 2 * e1), (-e0, -e1))
+    return cuts, shifts
+
+
 class OrbitCoder:
     """Exact orbit coding on the integer pairs of a `Frame`.
 
@@ -198,10 +210,11 @@ class OrbitCoder:
 
     def __init__(self, spec: IetSpec, extra: Iterable[QuadNum] = ()):
         self.frame = fr = Frame(spec.field, [spec.c, spec.l, spec.eps, *extra])
-        self.c, self.d1, self.d2, self.end, self.b1, self.b2 = (fr.pair(x) for x in (
-            spec.c, spec.d1, spec.d2, spec.end, spec.end - spec.eps, spec.c + 1 - spec.eps))
-        # forward shifts for letters A, B, C
-        self.shift = tuple(fr.pair(s) for s in spec.shifts())
+        # forward shifts for letters A, B, C: 1 - eps, 1 - 2*eps, -eps
+        (self.c, self.d1, self.d2, self.end), self.shift = spec_pairs(
+            (fr.L, 0), fr.pair(spec.eps), fr.pair(spec.c), fr.pair(spec.l))
+        # the backward cuts c+l-eps and c+1-eps
+        self.b1, self.b2 = _add(self.end, self.shift[2]), _add(self.c, self.shift[0])
         back = tuple((-s[0], -s[1]) for s in self.shift)
         self._moves = (dict(zip(LETTERS, self.shift)), dict(zip(LETTERS, back)))
         # code's arguments: backward, T^-1 reads C below b1, B below b2, else A

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import (InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded,
                      WitnessRejected)
-from .iet import LETTERS, IetSpec, OrbitCoder, make_spec, step
+from .iet import LETTERS, IetSpec, OrbitCoder, make_spec, spec_pairs, step
 from .qfield import QuadNum, denominator
 from .quadunit import ScalingUnit, class_fixing_power, integer_matrix, lemma_unit
 from .substitution import Substitution
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 STEP_BUDGET = 10**6  # cap on the letters of phi, and on the steps of an ancestor search
-_REVERSAL_SWAP = str.maketrans("AC", "CA")
 
 
 @dataclass(frozen=True)
@@ -123,6 +122,15 @@ def ancestor(spec: IetSpec, j_start: QuadNum, j_end: QuadNum, z0: QuadNum) -> Qu
     raise StepBudgetExceeded(f"no ancestor of {z0} found within {STEP_BUDGET} steps")
 
 
+def _scaled_coder(spec: IetSpec, conj: QuadNum):
+    """An `OrbitCoder` whose frame also holds lam' * (1, eps, c, l), with
+    the pairs of lam' * (c, d1, d2, c+l) and of lam' * shift_i."""
+    basis = [conj, conj * spec.eps, conj * spec.c, conj * spec.l]
+    coder = OrbitCoder(spec, basis)
+    cuts, moves = spec_pairs(*(coder.frame.pair(x) for x in basis))
+    return coder, cuts, moves
+
+
 def check_lemma_ancestor(spec: IetSpec, unit: ScalingUnit, z0: QuadNum) -> bool:
     """Ancestor-equals-scaling criterion against its sign-check form.
 
@@ -148,13 +156,10 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    conj = unit.lam_conj
-    scaled = [conj * x for x in (spec.c, spec.d1, spec.d2, spec.end)]
-    coder = OrbitCoder(spec, scaled)
+    # J = [cuts[0], cuts[3]) and lam' * I_i = [cuts[i], cuts[i+1])
+    coder, cuts, _ = _scaled_coder(spec, unit.lam_conj)
     fr = coder.frame
     cmp, L, ef = fr.cmp, fr.L, fr.ef
-    # J = [cuts[0], cuts[3]) and lam' * I_i = [cuts[i], cuts[i+1])
-    cuts = [fr.pair(x) for x in scaled]
     approx = [fr.approx(p) for p in cuts]
     # every point is within `window` moves of 0
     tol = fr.tol(window * fr.size(*coder.shift) + fr.size(*cuts))
@@ -207,8 +212,11 @@ def _induce(cmp, pieces, lo, hi, texts):
                 else:
                     break
             else:
-                j = next(j for j, p in enumerate(pieces) if cmp(u, p[1]) < 0)
-                _, cut, s, k, _ = pieces[j]
+                for j, (_, cut, s, k, _) in enumerate(pieces):
+                    if cmp(u, cut) < 0:
+                        break
+                else:  # the pieces tile a window that holds every part
+                    raise AssertionError("a part left the window of the pieces")
                 if cmp(v, cut) <= 0:
                     t, n, word = (t[0] + s[0], t[1] + s[1]), n + k, word + (j,)
                     continue
@@ -247,11 +255,9 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     spec = reduce_by_reversal(spec) if reduced else spec
     # lam' * (c, d1, d2, c+l) and lam' * shift_i: J = lam' * [c, c+l) is
     # homothetic when its pieces are lam' * I_i, moved by lam' * shift_i
-    scaled = [conj * x for x in (spec.c, spec.d1, spec.d2, spec.end)]
-    coder = OrbitCoder(spec, scaled)
+    coder, cuts, moves = _scaled_coder(spec, conj)
     fr = coder.frame
-    cuts = [fr.pair(x) for x in scaled]
-    moves = [fr.pair(conj * s) for s in spec.shifts()]
+    scaled = [fr.point(p) for p in cuts]
     # pair(lam0' * x) = M' * pair(x), and lam0'^k > lam' iff lam0'^k * (c+l) > J's end
     (m00, m01), (m10, m11) = integer_matrix(lemma_unit(spec.field).conjugate())
     windows, lo, hi = [], coder.c, coder.end
@@ -265,19 +271,23 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     ends = (coder.c, coder.d1, coder.d2, coder.end)
     pieces = [(a, b, s, 1, ()) for a, b, s in zip(ends, ends[1:], coder.shift)]  # I_i
     texts = list(LETTERS)  # the letters of each piece
+    # for eps' > 1, also each piece's letters reversed, with A and C swapped
+    mirrors = list("CBA")
     for lo, hi in windows:
         pieces = _induce(fr.cmp, pieces, lo, hi, texts)
         if sum(p[3] for p in pieces) > STEP_BUDGET:
             raise StepBudgetExceeded(f"the images for lambda = {lam} exceed {STEP_BUDGET} letters")
         texts = ["".join(texts[i] for i in p[4]) for p in pieces]
+        if reduced:
+            mirrors = ["".join(mirrors[i] for i in reversed(p[4])) for p in pieces]
     ok = [p[:3] for p in pieces] == [(cuts[i], cuts[i + 1], moves[i]) for i in range(3)]
     # without the homothety, phi(i) is the return word of the left end of lam' * I_i
-    names = tuple(next(w for p, w in zip(pieces, texts) if fr.cmp(x, p[1]) < 0)
-                  for x in cuts[:3])
+    picks = [next(k for k, p in enumerate(pieces) if fr.cmp(x, p[1]) < 0) for x in cuts[:3]]
+    names = tuple(texts[k] for k in picks)
     ret = ReturnSystem(scaled[0], scaled[3], tuple(zip(scaled[:3], scaled[1:4])), names, ok,
                        len(windows))
     if reduced:  # phi(A), phi(B), phi(C) are the words of C, B, A reversed, A and C swapped
-        names = [w[::-1].translate(_REVERSAL_SWAP) for w in reversed(names)]
+        names = [mirrors[k] for k in reversed(picks)]
     return ret, Substitution(("A", "B", "C"), dict(zip("ABC", names)))
 
 

@@ -88,6 +88,11 @@ class FieldDesc:
         """(2A, B, branch, D), the constants of `_sign_diff`."""
         return (2 * self.A, self.B, self.branch, self.disc)
 
+    @cached_property
+    def _ratios(self) -> Tuple[Fraction, Fraction]:
+        """(B/A, C/A), so that e^2 = -(B/A)*e - C/A."""
+        return (Fraction(self.B, self.A), Fraction(self.C, self.A))
+
     def zero(self) -> "QuadNum":
         return QuadNum(Fraction(0), Fraction(0), self)
 
@@ -155,7 +160,7 @@ class QuadNum:
 
     def _coerce(self, other) -> "QuadNum":
         if isinstance(other, QuadNum):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, (int, Fraction)):
@@ -188,11 +193,11 @@ class QuadNum:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        f = self.field
-        # reduce e^2 = (-B e - C)/A
+        ba, ca = self.field._ratios
+        # reduce e^2 = -(B/A) e - C/A
         cross = self.b * o.b
-        a = self.a * o.a - cross * Fraction(f.C, f.A)
-        b = self.a * o.b + self.b * o.a - cross * Fraction(f.B, f.A)
+        a = self.a * o.a - cross * ca
+        b = self.a * o.b + self.b * o.a - cross * ba
         return self._wrap(a, b)
 
     __rmul__ = __mul__
@@ -229,17 +234,12 @@ class QuadNum:
 
     def conjugate(self) -> "QuadNum":
         """Image under sqrt(D) -> -sqrt(D), re-expressed in the {1, e} basis."""
-        f = self.field
-        return self._wrap(self.a - self.b * Fraction(f.B, f.A), -self.b)
+        return self._wrap(self.a - self.b * self.field._ratios[0], -self.b)
 
     def norm(self) -> Fraction:
         """x * x' as a rational."""
-        f = self.field
-        return (
-            self.a * self.a
-            - self.a * self.b * Fraction(f.B, f.A)
-            + self.b * self.b * Fraction(f.C, f.A)
-        )
+        ba, ca = self.field._ratios
+        return self.a * self.a - self.a * self.b * ba + self.b * self.b * ca
 
     # -- exact ordering -------------------------------------------------------
 
