@@ -55,7 +55,6 @@ def main():
           sub.check_eigenvector(spec.eps, unit.lam))
     print("block starts in J match:",
           check_block_starts(spec, unit, sub, 1000))
-    print("eigenvalues of N:", [str(v) for v in sub.eigenvalues(field)])
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ Run:  python demos/03_sturmian_shadows.py
 from iet3 import (SturmianSpec, code_orbit, corollary_crosscheck, decide,
                   make_field, make_spec, parse_quadnum, sigma,
                   sturmian_images_match, sturmian_word, yasutomi)
-from iet3.sturmian import _frac
 
 
 def describe(spec, title):
@@ -22,14 +21,14 @@ def describe(spec, title):
     print("u           =", word, "...")
     print("sigma01(u)  =", sigma("01", word)[:30], "...")
     print("sigma10(u)  =", sigma("10", word)[:30], "...")
-    s01 = SturmianSpec(one - spec.eps, _frac(-spec.c))
-    s10 = SturmianSpec(one - spec.eps, _frac(-(spec.l + spec.c)))
+    s01 = SturmianSpec(one - spec.eps, (-spec.c).frac())
+    s10 = SturmianSpec(one - spec.eps, (-spec.l - spec.c).frac())
     print("slope 1-eps, intercept -c     :", sturmian_word(s01, 30), "...")
     print("slope 1-eps, intercept -(l+c) :", sturmian_word(s10, 30), "...")
     print("projection identities at radius 1e4:",
           sturmian_images_match(spec, 10**4))
-    y1 = yasutomi(spec.eps, _frac(-spec.c))
-    y2 = yasutomi(one - spec.eps, _frac(spec.l + spec.c))
+    y1 = yasutomi(spec.eps, (-spec.c).frac())
+    y2 = yasutomi(one - spec.eps, (spec.l + spec.c).frac())
     verdict = decide(spec, synthesize_witness=False).verdict
     print(f"two-letter criteria: {y1} and {y2}; three-letter verdict: "
           f"{verdict}; agreement: {corollary_crosscheck(spec)}")

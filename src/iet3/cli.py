@@ -48,6 +48,13 @@ def _spec_from_args(args) -> IetSpec:
     return make_spec(*(parse_quadnum(text, field) for text in (args.eps, args.l, args.c)))
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # nesting too deep for the decoder is bad input
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def _json_value(data: dict, key: str, *kinds):
     """data[key], of one of the types `kinds`, or a ValueError naming the key."""
     if key not in data:
@@ -66,7 +73,7 @@ def _spec_from_json(data) -> IetSpec:
     field = _json_value(data, "field", list, dict)
     if isinstance(field, dict):
         field = [field.get(k) for k in "ABC"] + [field.get("branch", 1)]
-    if len(field) not in (3, 4) or not all(isinstance(x, int) for x in field):
+    if len(field) not in (3, 4) or not all(type(x) is int for x in field):  # true is an int too
         raise ValueError(f"'field' must hold the integers A, B, C[, branch], not {json.dumps(field)}")
     f = make_field(*field)
     return make_spec(*(parse_quadnum(_json_value(data, key, str), f) for key in ("eps", "l", "c")))
@@ -206,7 +213,7 @@ def _cmd_generate(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     with open(args.report) as handle:
-        data = json.load(handle)
+        data = _load_json(handle.read())
     spec = _spec_from_json(data)
     sub = Substitution(("A", "B", "C"), _json_value(data, "substitution", dict))
     lam = parse_quadnum(_json_value(data, "lambda", str), spec.field)
@@ -263,7 +270,7 @@ def _cmd_sweep(args, out) -> int:
                 continue
             data = line  # the raw text, until it parses
             try:
-                data = json.loads(line)
+                data = _load_json(line)
                 report = decide(_spec_from_json(data))
                 record = report_to_json(report)
             except _INPUT_ERRORS as exc:

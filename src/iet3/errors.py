@@ -49,12 +49,8 @@ class DangerousEta(Iet3Error):
     """eta in (-1, 0): the neighbor rule of the generator does not apply."""
 
 
-class StraddlesDiscontinuity(Iet3Error):
-    """A tracked interval properly crosses a discontinuity point."""
-
-
 class StepBudgetExceeded(Iet3Error):
-    """A witness or an ancestor search ran past its safety cap."""
+    """The images of a witness would exceed `invariance.STEP_BUDGET` letters."""
 
 
 class WitnessRejected(Iet3Error):

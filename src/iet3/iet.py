@@ -242,16 +242,6 @@ class OrbitCoder:
             yield start, text
             start, n = end, 2 * n
 
-    def forward_points(self, start=(0, 0)) -> Iterator[Tuple[Tuple[int, int], int]]:
-        """(T^n(start), index of its letter) for n = 0, 1, ..."""
-        for x, text in self._chunks(start, False):
-            yield from zip(self.points(text, x), map(LETTERS.index, text))
-
-    def backward_points(self, start=(0, 0)) -> Iterator[Tuple[Tuple[int, int], int]]:
-        """(T^-n(start), index of its letter) for n = 1, 2, ..."""
-        for x, text in self._chunks(start, True):
-            yield from zip(self.points(text, x, True), map(LETTERS.index, text))
-
     def forward(self, start=(0, 0)) -> Iterator[str]:
         """Letters u_0, u_1, ... of `letters`, streamed in chunks."""
         return chain.from_iterable(text for _x, text in self._chunks(start, False))

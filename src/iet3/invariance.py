@@ -12,11 +12,10 @@ lam' * I_i and lands on lam' * T(I_i) (the homothety check), the orbit of
 lam' * x, x in I_i, reads phi(i) and ends at lam' * T(x), so by induction
 from 0 = lam' * 0, u = phi(u) on both sides.  J is scaled by the one unit
 `synthesize` derives from c and c+l; the images may total at most
-`STEP_BUDGET` letters, and an ancestor search at most as many steps.
+`STEP_BUDGET` letters.
 
 The induction compares the integer pairs of one `iet.OrbitCoder` frame,
-exactly, with `Frame.cmp`; the ancestor search runs on the coder's points,
-exact at every point.  The block-start check reads the coder's text and
+exactly, with `Frame.cmp`.  The block-start check reads the coder's text and
 tests each point's membership in J and in lam' * I_i through the frame's
 float filter, with `Frame.cmp` inside the error bound.  The block cut is
 `Substitution.block_starts`, the one `verify_fixed_point` makes.
@@ -27,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Optional, Tuple
 
-from .errors import (InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded,
-                     WitnessRejected)
-from .iet import LETTERS, IetSpec, OrbitCoder, make_spec, spec_pairs, step
+from .errors import InvalidUnit, NotApplicable, StepBudgetExceeded, WitnessRejected
+from .iet import LETTERS, IetSpec, OrbitCoder, make_spec, spec_pairs
 from .qfield import QuadNum, denominator
 from .quadunit import ScalingUnit, class_fixing_power, integer_matrix, lemma_unit
 from .substitution import Substitution
@@ -41,13 +39,11 @@ __all__ = [
     "decide",
     "synthesize",
     "return_substitution",
-    "ancestor",
-    "check_lemma_ancestor",
     "check_block_starts",
     "reduce_by_reversal",
 ]
 
-STEP_BUDGET = 10**6  # cap on the letters of phi, and on the steps of an ancestor search
+STEP_BUDGET = 10**6  # cap on the letters of phi, tested before they are spelled
 
 
 @dataclass(frozen=True)
@@ -55,13 +51,12 @@ class ReturnSystem:
     """First return data on J = lam' * [c, c+l).
 
     For eps' > 1 the return map is that of the reversal-reduced spec, so
-    `return_names` are its words: phi(C), phi(B), phi(A) reversed with A
-    and C swapped, and `return_times` lists |phi(C)|, |phi(B)|, |phi(A)|.
+    `return_names` are its words with A and C swapped, phi(C), phi(B),
+    phi(A) reversed, and `return_times` lists |phi(C)|, |phi(B)|, |phi(A)|.
     """
 
     j_start: QuadNum
     j_end: QuadNum
-    subintervals: Tuple[Tuple[QuadNum, QuadNum], ...]  # K1, K2, K3
     return_names: Tuple[str, str, str]
     homothety_ok: bool
     levels: int  # windows of the nested induction, J the last
@@ -103,25 +98,6 @@ def reduce_by_reversal(spec: IetSpec) -> IetSpec:
     return make_spec(spec.field.one() - spec.eps, spec.l, spec.c)
 
 
-def ancestor(spec: IetSpec, j_start: QuadNum, j_end: QuadNum, z0: QuadNum) -> QuadNum:
-    """The point of [j_start, j_end) whose return block contains z0.
-
-    Found by backward iteration; the first backward hit of J is the
-    ancestor because the forward path from it to z0 avoids J.
-    """
-    if not spec.contains(z0):
-        raise OutOfDomain(f"{z0} not in [{spec.c}, {spec.end})")
-    coder = OrbitCoder(spec, (j_start, j_end, z0))
-    fr = coder.frame
-    js, je, z = fr.pair(j_start), fr.pair(j_end), fr.pair(z0)
-    back = coder.backward_points(z)
-    for _ in range(STEP_BUDGET):
-        if fr.cmp(z, js) >= 0 and fr.cmp(z, je) < 0:
-            return fr.point(z)
-        z, _letter = next(back)
-    raise StepBudgetExceeded(f"no ancestor of {z0} found within {STEP_BUDGET} steps")
-
-
 def _scaled_coder(spec: IetSpec, conj: QuadNum):
     """An `OrbitCoder` whose frame also holds lam' * (1, eps, c, l), with
     the pairs of lam' * (c, d1, d2, c+l) and of lam' * shift_i."""
@@ -129,19 +105,6 @@ def _scaled_coder(spec: IetSpec, conj: QuadNum):
     coder = OrbitCoder(spec, basis)
     cuts, moves = spec_pairs(*(coder.frame.pair(x) for x in basis))
     return coder, cuts, moves
-
-
-def check_lemma_ancestor(spec: IetSpec, unit: ScalingUnit, z0: QuadNum) -> bool:
-    """Ancestor-equals-scaling criterion against its sign-check form.
-
-    True iff  anc_J(z0) == lam'*z0  agrees with  z0' <= 0 <= (T(z0))'.
-    """
-    conj = unit.lam_conj
-    j_start, j_end = conj * spec.c, conj * spec.end
-    left = ancestor(spec, j_start, j_end, z0) == conj * z0
-    tz, _ = step(spec, z0)
-    right = z0.conjugate().sign() <= 0 and tz.conjugate().sign() >= 0
-    return left == right
 
 
 def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
@@ -246,7 +209,7 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     raised once a level's words total more than STEP_BUDGET letters, before
     they are spelled; each of them occurs in some word of J's first return.
     For eps' > 1 the induction runs on the reversal-reduced spec (same J)
-    and each image comes back reversed, with A and C swapped.
+    with A and C swapped in its letters, and each image comes back reversed.
     """
     conj = lam.conjugate()
     if not 0 < conj < 1:
@@ -257,7 +220,6 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     # homothetic when its pieces are lam' * I_i, moved by lam' * shift_i
     coder, cuts, moves = _scaled_coder(spec, conj)
     fr = coder.frame
-    scaled = [fr.point(p) for p in cuts]
     # pair(lam0' * x) = M' * pair(x), and lam0'^k > lam' iff lam0'^k * (c+l) > J's end
     (m00, m01), (m10, m11) = integer_matrix(lemma_unit(spec.field).conjugate())
     windows, lo, hi = [], coder.c, coder.end
@@ -270,24 +232,18 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     windows.append((cuts[0], cuts[3]))
     ends = (coder.c, coder.d1, coder.d2, coder.end)
     pieces = [(a, b, s, 1, ()) for a, b, s in zip(ends, ends[1:], coder.shift)]  # I_i
-    texts = list(LETTERS)  # the letters of each piece
-    # for eps' > 1, also each piece's letters reversed, with A and C swapped
-    mirrors = list("CBA")
+    texts = list("CBA" if reduced else LETTERS)  # the letters of each piece
     for lo, hi in windows:
         pieces = _induce(fr.cmp, pieces, lo, hi, texts)
         if sum(p[3] for p in pieces) > STEP_BUDGET:
             raise StepBudgetExceeded(f"the images for lambda = {lam} exceed {STEP_BUDGET} letters")
         texts = ["".join(texts[i] for i in p[4]) for p in pieces]
-        if reduced:
-            mirrors = ["".join(mirrors[i] for i in reversed(p[4])) for p in pieces]
     ok = [p[:3] for p in pieces] == [(cuts[i], cuts[i + 1], moves[i]) for i in range(3)]
     # without the homothety, phi(i) is the return word of the left end of lam' * I_i
-    picks = [next(k for k, p in enumerate(pieces) if fr.cmp(x, p[1]) < 0) for x in cuts[:3]]
-    names = tuple(texts[k] for k in picks)
-    ret = ReturnSystem(scaled[0], scaled[3], tuple(zip(scaled[:3], scaled[1:4])), names, ok,
-                       len(windows))
-    if reduced:  # phi(A), phi(B), phi(C) are the words of C, B, A reversed, A and C swapped
-        names = [mirrors[k] for k in reversed(picks)]
+    names = tuple(next(t for p, t in zip(pieces, texts) if fr.cmp(x, p[1]) < 0) for x in cuts[:3])
+    ret = ReturnSystem(fr.point(cuts[0]), fr.point(cuts[3]), names, ok, len(windows))
+    if reduced:  # phi(A), phi(B), phi(C) are the words of C, B, A reversed
+        names = [w[::-1] for w in reversed(names)]
     return ret, Substitution(("A", "B", "C"), dict(zip("ABC", names)))
 
 

@@ -40,9 +40,6 @@ class PellSolution:
     Y: int
     D: int
 
-    def check(self) -> bool:
-        return self.X * self.X - self.D * self.Y * self.Y == 1 and self.Y >= 1
-
 
 @dataclass(frozen=True)
 class ScalingUnit:

@@ -55,10 +55,6 @@ class SturmianSpec:
             raise ValueError("rounding must be 'floor' or 'ceiling'")
 
 
-def _frac(x: QuadNum) -> QuadNum:
-    return x - x.floor()
-
-
 def sturmian_word(spec: SturmianSpec, n: int) -> str:
     """First n letters u_k = round((k+1)a + x0) - round(ka + x0), exactly.
 
@@ -72,7 +68,7 @@ def sturmian_word(spec: SturmianSpec, n: int) -> str:
         raise ValueError("length must be nonnegative")
     alpha, x0, names = spec.alpha, spec.x0, "0?1"  # the middle letter never occurs
     if spec.rounding == "ceiling":
-        alpha, x0, names = 1 - alpha, _frac(-x0), "1?0"
+        alpha, x0, names = 1 - alpha, (-x0).frac(), "1?0"
     fr = Frame(alpha.field, [alpha, x0])
     a, cut = fr.pair(alpha), fr.pair(1 - alpha)
     return code(fr, fr.pair(x0), n, cut, cut, (a, a, (a[0] - fr.L, a[1])), names)[0]
@@ -102,8 +98,8 @@ def sturmian_images_match(spec3: IetSpec, radius: int) -> bool:
         length += len(text) + text.count("B")
     word = "".join(parts)
     eps, one = spec3.eps, spec3.field.one()
-    expected01 = sturmian_word(SturmianSpec(one - eps, _frac(-spec3.c)), radius)
-    expected10 = sturmian_word(SturmianSpec(one - eps, _frac(-(spec3.l + spec3.c))), radius)
+    expected01 = sturmian_word(SturmianSpec(one - eps, (-spec3.c).frac()), radius)
+    expected10 = sturmian_word(SturmianSpec(one - eps, (-spec3.l - spec3.c).frac()), radius)
     return (
         sigma("01", word)[:radius] == expected01
         and sigma("10", word)[:radius] == expected10
@@ -128,7 +124,7 @@ def corollary_crosscheck(spec3: IetSpec) -> bool:
         raise ValueError("cross-check needs a non-degenerate spec")
     verdict = decide(spec3, synthesize_witness=False).verdict
     one = spec3.field.one()
-    both = yasutomi(spec3.eps, _frac(-spec3.c)) and yasutomi(
-        one - spec3.eps, _frac(spec3.l + spec3.c)
+    both = yasutomi(spec3.eps, (-spec3.c).frac()) and yasutomi(
+        one - spec3.eps, (spec3.l + spec3.c).frac()
     )
     return (verdict == "Invariant") == both

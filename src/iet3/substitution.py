@@ -15,11 +15,11 @@ the blocks phi(u_m) aligned at 0; `verify_fixed_point` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .errors import NoSquareRoot, UnknownLetter
+from .errors import UnknownLetter
 from .iet import OrbitCoder
-from .qfield import FieldDesc, QuadNum, sqrt_in_field
+from .qfield import QuadNum
 
 __all__ = ["Substitution", "complexity", "count_factors"]
 
@@ -67,15 +67,6 @@ class Substitution:
             images = {a: self(images[a]) for a in self.alphabet}
         return Substitution(self.alphabet, images)
 
-    def reversed_images(self) -> "Substitution":
-        return Substitution(self.alphabet, {a: self.images[a][::-1] for a in self.alphabet})
-
-    def relabel(self, mapping: Dict[str, str]) -> "Substitution":
-        """Conjugate by a permutation of the alphabet."""
-        table = str.maketrans(mapping)
-        images = {mapping[a]: self.images[a].translate(table) for a in self.alphabet}
-        return Substitution(self.alphabet, images)
-
     # -- incidence matrix -----------------------------------------------------
 
     def incidence(self) -> List[List[int]]:
@@ -92,36 +83,6 @@ class Substitution:
                 return True
             m = _matmul(m, n)
         return False
-
-    def eigenvalues(self, field: FieldDesc) -> List[QuadNum]:
-        """Exact eigenvalues of the incidence matrix as elements of the field.
-
-        Raises NoSquareRoot if some eigenvalue lies outside Q(e); only
-        alphabets of size <= 3 are supported.
-        """
-        n = self.incidence()
-        k = len(n)
-        if k > 3:
-            raise ValueError("exact eigenvalues only for alphabets of size <= 3")
-        coeffs = _char_poly(n)  # monic, highest degree first
-        roots: List[QuadNum] = []
-        coeffs = _strip_rational_roots(coeffs, roots, field)
-        if len(coeffs) == 3:  # quadratic a=1: x^2 + px + q
-            p, q = coeffs[1], coeffs[2]
-            disc = p * p - 4 * q
-            if disc < 0:
-                raise NoSquareRoot("complex eigenvalues")
-            root = sqrt_in_field(field, disc)  # raises if outside the field
-            half = field.rational(1) / 2
-            roots.append((-p + root) * half)
-            roots.append((-p - root) * half)
-        elif len(coeffs) == 2:
-            roots.append(field.rational(-coeffs[1]))
-        elif len(coeffs) > 1:
-            raise NoSquareRoot(
-                "characteristic polynomial has an irreducible cubic factor"
-            )
-        return roots
 
     def check_eigenvector(self, eps: QuadNum, lam: QuadNum) -> bool:
         """N * (1-eps, 1-2*eps, -eps)^T = lam' * same, exactly."""
@@ -191,71 +152,12 @@ class Substitution:
             images[left.strip()] = right.strip()
         return cls(tuple(alphabet), images)
 
-    def __str__(self):
-        return ", ".join(f"{a}->{self.images[a]}" for a in self.alphabet)
-
 
 def _matmul(x, y):
     k = len(x)
     return [
         [sum(x[i][t] * y[t][j] for t in range(k)) for j in range(k)] for i in range(k)
     ]
-
-
-def _char_poly(n) -> List[int]:
-    """Monic characteristic polynomial coefficients of a 1x1..3x3 int matrix."""
-    k = len(n)
-    if k == 1:
-        return [1, -n[0][0]]
-    if k == 2:
-        tr = n[0][0] + n[1][1]
-        det = n[0][0] * n[1][1] - n[0][1] * n[1][0]
-        return [1, -tr, det]
-    tr = n[0][0] + n[1][1] + n[2][2]
-    minors = (
-        n[1][1] * n[2][2] - n[1][2] * n[2][1]
-        + n[0][0] * n[2][2] - n[0][2] * n[2][0]
-        + n[0][0] * n[1][1] - n[0][1] * n[1][0]
-    )
-    det = (
-        n[0][0] * (n[1][1] * n[2][2] - n[1][2] * n[2][1])
-        - n[0][1] * (n[1][0] * n[2][2] - n[1][2] * n[2][0])
-        + n[0][2] * (n[1][0] * n[2][1] - n[1][1] * n[2][0])
-    )
-    return [1, -tr, minors, -det]
-
-
-def _strip_rational_roots(coeffs: List[int], roots: List[QuadNum], field) -> List[int]:
-    """Divide out integer roots (monic polynomial) and record them."""
-    while len(coeffs) > 3:
-        const = coeffs[-1]
-        candidates = {0} if const == 0 else {
-            s * d for d in range(1, abs(const) + 1) if const % d == 0 for s in (1, -1)
-        }
-        found = None
-        for r in candidates:
-            if _poly_eval(coeffs, r) == 0:
-                found = r
-                break
-        if found is None:
-            raise NoSquareRoot("cubic with no rational root; eigenvalue outside Q(e)")
-        coeffs = _poly_deflate(coeffs, found)
-        roots.append(field.rational(found))
-    return coeffs
-
-
-def _poly_eval(coeffs, x):
-    value = 0
-    for coef in coeffs:
-        value = value * x + coef
-    return value
-
-
-def _poly_deflate(coeffs, root):
-    out = [coeffs[0]]
-    for coef in coeffs[1:-1]:
-        out.append(out[-1] * root + coef)
-    return out
 
 
 def count_factors(letters: str, n: int) -> int:

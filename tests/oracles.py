@@ -1,0 +1,89 @@
+"""References that only the tests read: the orbit as a stream of points,
+the ancestor criterion of the paper's lemma, and the exact spectrum of an
+incidence matrix.  The library's decision and its proof need none of them.
+"""
+
+from functools import reduce
+
+from iet3 import OrbitCoder, step
+from iet3.errors import NoSquareRoot, OutOfDomain, StepBudgetExceeded
+from iet3.qfield import sqrt_in_field
+
+STEP_BUDGET = 10**6  # cap on the steps of an ancestor search
+
+
+def orbit_points(coder, start=(0, 0), back=False):
+    """(point, index of its letter) of the orbit of `start`, read in chunks
+    of doubling length: T^n(start) for n = 0, 1, ..., or with back=True
+    T^-n(start) for n = 1, 2, ..."""
+    n = 64
+    while True:
+        text, end = coder.letters(n, start, back)
+        yield from zip(coder.points(text, start, back), map("ABC".index, text))
+        start, n = end, 2 * n
+
+
+def ancestor(spec, j_start, j_end, z0):
+    """The point of [j_start, j_end) whose return block contains z0.
+
+    Found by backward iteration; the first backward hit of J is the
+    ancestor because the forward path from it to z0 avoids J.
+    """
+    if not spec.contains(z0):
+        raise OutOfDomain(f"{z0} not in [{spec.c}, {spec.end})")
+    coder = OrbitCoder(spec, (j_start, j_end, z0))
+    fr = coder.frame
+    js, je, z = fr.pair(j_start), fr.pair(j_end), fr.pair(z0)
+    back = orbit_points(coder, z, back=True)
+    for _ in range(STEP_BUDGET):
+        if fr.cmp(z, js) >= 0 and fr.cmp(z, je) < 0:
+            return fr.point(z)
+        z, _letter = next(back)
+    raise StepBudgetExceeded(f"no ancestor of {z0} found within {STEP_BUDGET} steps")
+
+
+def check_lemma_ancestor(spec, unit, z0):
+    """Ancestor-equals-scaling criterion against its sign-check form.
+
+    True iff  anc_J(z0) == lam'*z0  agrees with  z0' <= 0 <= (T(z0))'.
+    """
+    conj = unit.lam_conj
+    j_start, j_end = conj * spec.c, conj * spec.end
+    left = ancestor(spec, j_start, j_end, z0) == conj * z0
+    tz, _ = step(spec, z0)
+    right = z0.conjugate().sign() <= 0 and tz.conjugate().sign() >= 0
+    return left == right
+
+
+def eigenvalues(sub, field):
+    """Exact eigenvalues of the incidence matrix of `sub` in the field, from
+    its characteristic polynomial (Faddeev-LeVerrier): integer roots, then a
+    quadratic solved in Q(e).  NoSquareRoot when a root lies outside Q(e)."""
+    n = sub.incidence()
+    k = len(n)
+    if k > 3:
+        raise ValueError("exact eigenvalues only for alphabets of size <= 3")
+    coeffs, m = [1], [[0] * k for _ in range(k)]  # monic, highest degree first
+    for j in range(1, k + 1):  # M_j = N M_(j-1) + c I, next c = -tr(N M_j) / j
+        m = [[sum(n[r][t] * m[t][c] for t in range(k)) + coeffs[-1] * (r == c)
+              for c in range(k)] for r in range(k)]
+        coeffs.append(-sum(n[r][t] * m[t][r] for r in range(k) for t in range(k)) // j)
+    roots = []
+    while len(coeffs) not in (1, 3):  # divide out integer roots down to a quadratic
+        divisors = [d for d in range(1, abs(coeffs[-1]) + 1) if coeffs[-1] % d == 0]
+        found = next((x for x in [0] + divisors + [-d for d in divisors]
+                      if reduce(lambda v, c: v * x + c, coeffs, 0) == 0), None)
+        if found is None:
+            raise NoSquareRoot("cubic with no rational root; eigenvalue outside Q(e)")
+        roots.append(field.rational(found))
+        quotient = [1]  # synthetic division by x - found
+        for c in coeffs[1:-1]:
+            quotient.append(quotient[-1] * found + c)
+        coeffs = quotient
+    if len(coeffs) == 3:  # x^2 + px + q
+        _, p, q = coeffs
+        if (disc := p * p - 4 * q) < 0:
+            raise NoSquareRoot("complex eigenvalues")
+        root = sqrt_in_field(field, disc)  # raises if outside the field
+        roots += [(root - p) / 2, (-root - p) / 2]
+    return roots

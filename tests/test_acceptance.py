@@ -19,13 +19,12 @@ from math import isqrt
 import pytest
 
 from conftest import corpus
-from iet3 import (CapSetConfig, SturmianSpec, check_block_starts,
-                  check_lemma_ancestor, complexity, decide,
+from iet3 import (CapSetConfig, SturmianSpec, check_block_starts, complexity, decide,
                   gap_class, generate, make_field, make_spec, orbit_window,
                   parse_quadnum, point_value, solve_pell, star, step,
                   sturmian_images_match, sturmian_word, synthesize, yasutomi)
 from iet3.quadunit import PellSolution, ScalingUnit, lemma_unit
-from iet3.sturmian import _frac
+from oracles import check_lemma_ancestor
 
 
 def report(n, detail):
@@ -73,7 +72,7 @@ def test_3_negative_decision(worked):
     sp = make_spec(worked.eps, worked.l, parse_quadnum("-3/2+7/2*e", f))
     rep = decide(sp)
     assert rep.verdict == "NotInvariant"
-    assert not yasutomi(sp.eps, _frac(-sp.c))  # the sigma01-side criterion
+    assert not yasutomi(sp.eps, (-sp.c).frac())  # the sigma01-side criterion
     from iet3 import corollary_crosscheck
     assert corollary_crosscheck(sp)
     report(3, "NotInvariant, sigma01-side criterion fails, agreement holds")
@@ -150,8 +149,8 @@ def test_7_corollary_equivalence_over_corpus():
     for label, sp in specs:
         rep = decide(sp, synthesize_witness=False)
         one = sp.field.one()
-        both = yasutomi(sp.eps, _frac(-sp.c)) and yasutomi(
-            one - sp.eps, _frac(sp.l + sp.c))
+        both = yasutomi(sp.eps, (-sp.c).frac()) and yasutomi(
+            one - sp.eps, (sp.l + sp.c).frac())
         assert (rep.verdict == "Invariant") == both, label
     elapsed = time.time() - t0
     assert elapsed < 300

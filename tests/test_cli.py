@@ -250,6 +250,24 @@ class TestSweep:
         assert records[0]["input"] == "{not json"
         assert records[4]["verdict"] == "Invariant"
 
+    def test_nested_and_boolean_lines_get_records(self, tmp_path, capsys):
+        """A line nested too deeply to decode and a field holding JSON's
+        true (a Python bool, so an int) each get an error record, and the
+        valid line after them is decided."""
+        valid = {"field": [1, 2, -1], "eps": "e", "l": "1/2+1/2*e", "c": "-1/2*e"}
+        lines = ["[" * 200000, json.dumps(dict(valid, field=[True, 2, -1])),
+                 json.dumps(dict(valid, field={"A": True, "B": 2, "C": -1})), json.dumps(valid)]
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(["sweep", "--input", str(path)], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(records) == 4
+        assert "nested" in records[0]["error"]
+        assert all("'field'" in r["error"] for r in records[1:3])
+        assert records[3]["verdict"] == "Invariant"
+
     def test_field_as_report_object(self, tmp_path, capsys):
         """The {A, B, C, branch} object that reports write is accepted too."""
         _, out, _ = run(["decide", "--format", "json", *WORKED], capsys)
@@ -286,10 +304,12 @@ class TestErrors:
          lambda d: {k: v for k, v in d.items() if k != "lambda"}, "missing key 'lambda'"),
         (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, field="1,2,-1"), "'field'"),
         (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, field=[1, 2]), "'field'"),
+        (["verify", "--report", "{tmp}/r.json"],
+         lambda d: dict(d, field=dict(d["field"], A=True)), "'field'"),
         (["verify", "--report", "{tmp}/r.json"], lambda d: [d], "JSON object"),
     ], ids=["eps-1/0", "eps-nested", "field-branch", "output-dir",
             "substitution-int", "image-int", "lambda-int", "lambda-missing",
-            "field-str", "field-short", "report-list"])
+            "field-str", "field-short", "field-bool", "report-list"])
     def test_bad_input_exits_two(self, tmp_path, capsys, argv, edit, needle):
         """Bad input exits 2 with one error line and no traceback."""
         if edit is not None:
@@ -298,6 +318,15 @@ class TestErrors:
         code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
         assert code == 2
         assert err.startswith("error: ") and needle in err
+        assert "fixed_point" not in out
+
+    def test_deeply_nested_report(self, tmp_path, capsys):
+        """JSON nested past the decoder's recursion limit is bad input."""
+        path = tmp_path / "r.json"
+        path.write_text("[" * 200000)
+        code, out, err = run(["verify", "--report", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "nested" in err
         assert "fixed_point" not in out
 
 

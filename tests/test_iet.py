@@ -12,6 +12,7 @@ from conftest import convergents
 from iet3 import (OrbitCoder, code_orbit, inverse_step, make_field, make_spec,
                   non_degenerate, normalize, orbit_window, parse_quadnum, step)
 from iet3.errors import OutOfDomain, RationalSlope
+from oracles import orbit_points
 
 F2 = make_field(1, 2, -1, 1)
 F5 = make_field(1, 1, -1, 1)  # e = (sqrt5 - 1)/2
@@ -153,7 +154,7 @@ class TestStep:
 
 def reference(spec, z, n, back=False):
     """n (point, letter) pairs of the QuadNum maps from z, in the order
-    forward_points or backward_points yields them."""
+    `oracles.orbit_points` yields them."""
     out = []
     for _ in range(n):
         if back:
@@ -178,7 +179,7 @@ class TestFloatFilter:
         sp = make_spec(F5.eps(), parse_quadnum("1-1/2*e", F5),
                        parse_quadnum("-1/3*e", F5) - tiny)
         coder, n = OrbitCoder(sp), 300 if tiny else 3000
-        for points, back in ((coder.forward_points(), False), (coder.backward_points(), True)):
+        for points, back in ((orbit_points(coder), False), (orbit_points(coder, back=True), True)):
             got = [(coder.frame.point(x), "ABC"[i]) for x, i in islice(points, n)]
             assert got == reference(sp, F5.zero(), n, back)
 
@@ -190,10 +191,11 @@ class TestFloatFilter:
         coder = OrbitCoder(sp)
         cuts = {False: (sp.d1, sp.d2), True: (sp.end - sp.eps, sp.c + 1 - sp.eps)}
         for a, b in convergents(F5, 10**12)[-6:]:
-            for back, pair in ((False, coder.forward_points), (True, coder.backward_points)):
+            for back in (False, True):
                 for cut in cuts[back]:
                     z = cut + b * F5.eps() - a
-                    got = ["ABC"[i] for _x, i in islice(pair(coder.frame.pair(z)), 20)]
+                    points = orbit_points(coder, coder.frame.pair(z), back)
+                    got = ["ABC"[i] for _x, i in islice(points, 20)]
                     assert got == [letter for _z, letter in reference(sp, z, 20, back)]
 
 

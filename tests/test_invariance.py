@@ -4,20 +4,18 @@ against the letter-by-letter return walk), the ancestor criterion, block
 starts, and the reversal reduction for slopes with conjugate above 1."""
 
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
 import iet3.invariance
 from conftest import convergents, corpus
-from iet3 import (OrbitCoder, ancestor, check_block_starts, check_lemma_ancestor,
-                  code_orbit, decide, is_sturm, make_field, make_spec,
-                  parse_quadnum, reduce_by_reversal, step, synthesize,
-                  ScalingUnit, Substitution)
+from iet3 import (OrbitCoder, check_block_starts, code_orbit, decide, is_sturm,
+                  make_field, make_spec, parse_quadnum, reduce_by_reversal, step,
+                  synthesize, ScalingUnit, Substitution)
 from iet3.invariance import return_substitution
-from iet3.errors import (InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded,
-                         StraddlesDiscontinuity, WitnessRejected)
-from walk_oracle import walk_interval, walk_substitution
+from iet3.errors import InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded, WitnessRejected
+from oracles import ancestor, check_lemma_ancestor
+from walk_oracle import StraddlesDiscontinuity, walk_interval, walk_substitution
 
 F2 = make_field(1, 2, -1, 1)
 F5R = make_field(1, -3, 1, -1)  # eps = (3-sqrt5)/2, conjugate > 1
@@ -98,19 +96,18 @@ def count_levels(monkeypatch, induce=iet3.invariance._induce):
 
 def exact_block_starts(spec, unit, sub, window):
     """`check_block_starts` without its float filter: `Frame.cmp` on every
-    point of the coder's point streams (the reference for the filter)."""
+    orbit point the coder's text gives (the reference for the filter)."""
     conj = unit.lam_conj
     scaled = [conj * x for x in (spec.c, spec.d1, spec.d2, spec.end)]
     coder = OrbitCoder(spec, scaled)
     cmp = coder.frame.cmp
     cuts = [coder.frame.pair(x) for x in scaled]
-    for points, back in ((islice(coder.forward_points(), window), False),
-                         (islice(coder.backward_points(), window - 1), True)):
-        points = list(points)
-        starts = sub.block_starts("".join("ABC"[i] for _x, i in points), back)
+    for n, back in ((window, False), (window - 1, True)):
+        text, _ = coder.letters(n, back=back)
+        starts = sub.block_starts(text, back)
         if starts is None:
             return False
-        for k, (x, _i) in enumerate(points):
+        for k, x in enumerate(coder.points(text, back=back)):
             in_j = cmp(x, cuts[0]) >= 0 and cmp(x, cuts[3]) < 0
             if in_j != (k in starts):
                 return False
@@ -361,8 +358,8 @@ class TestReversal:
 
     def test_one_substitution_per_reversed_decide(self, monkeypatch):
         """The reduced system's words are reversed and swapped as text, so
-        decide builds one Substitution and neither relabels nor reverses one."""
-        calls = {"__post_init__": 0, "relabel": 0, "reversed_images": 0}
+        decide builds one Substitution."""
+        calls = {"__post_init__": 0}
 
         def counting(name):
             method = getattr(Substitution, name)
@@ -385,7 +382,6 @@ class TestReversal:
             assert rep.reversed_reduction, label
             assert calls["__post_init__"] - before["__post_init__"] == 1, label
         assert reversed_specs == 25
-        assert calls["relabel"] == calls["reversed_images"] == 0
 
     def test_reversal_synthesis_verifies(self, rev_spec):
         rep = decide(rev_spec)

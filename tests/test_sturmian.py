@@ -12,7 +12,6 @@ from iet3 import (SturmianSpec, complexity, corollary_crosscheck, make_field,
                   make_spec, parse_quadnum, sigma, sturmian_images_match,
                   sturmian_word, yasutomi)
 from iet3.errors import UnknownLetter
-from iet3.sturmian import _frac
 
 F2 = make_field(1, 2, -1, 1)
 F5 = make_field(1, 1, -1, 1)
@@ -110,7 +109,7 @@ class TestImagesMatch:
         word = "".join(read)
         assert len(sigma("01", word)) >= radius > len(sigma("01", word[:-1]))
         one = F2.one()
-        for variant, intercept in (("01", _frac(-spec.c)), ("10", _frac(-(spec.l + spec.c)))):
+        for variant, intercept in (("01", (-spec.c).frac()), ("10", (-spec.l - spec.c).frac())):
             expected = sturmian_word(SturmianSpec(one - spec.eps, intercept), radius)
             assert sigma(variant, word)[:radius] == expected
 
@@ -120,7 +119,7 @@ class TestImagesMatch:
         from iet3 import code_orbit
         word = code_orbit(spec, 0, 200)
         img = sigma("01", word)[:100]
-        good = _frac(-spec.c)
+        good = (-spec.c).frac()
         bad = good + F2.rational(Fraction(1, 7))
         predicted = sturmian_word(SturmianSpec(F2.one() - spec.eps, bad), 100)
         assert img != predicted
@@ -133,7 +132,7 @@ class TestYasutomi:
         assert yasutomi(F2.eps(), F2.zero())
 
     def test_worked_intercept(self, spec):
-        assert yasutomi(F2.eps(), _frac(-spec.c))
+        assert yasutomi(F2.eps(), (-spec.c).frac())
 
     def test_non_sturm_slope(self):
         non = make_field(8, -8, 1, -1).eps()
@@ -147,8 +146,8 @@ class TestYasutomi:
             for num in [f.zero(), f.num(Fraction(1, 2), 0),
                         f.num(Fraction(1, 3), Fraction(1, 3)),
                         f.num(Fraction(9, 10), Fraction(0))]:
-                x = _frac(num)
-                y = _frac(f.one() - x)
+                x = num.frac()
+                y = (f.one() - x).frac()
                 assert yasutomi(a, x) == yasutomi(f.one() - a, y)
 
 

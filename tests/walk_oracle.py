@@ -10,11 +10,15 @@ exact `Frame.cmp`.
 """
 
 from iet3 import OrbitCoder, Substitution, reduce_by_reversal
-from iet3.errors import InvalidUnit, StepBudgetExceeded, StraddlesDiscontinuity
+from iet3.errors import InvalidUnit, Iet3Error, StepBudgetExceeded
 from iet3.iet import LETTERS
+from oracles import orbit_points
 
 STEP_BUDGET = 10**6  # cap on the steps of one walk
-_REVERSAL_SWAP = {"A": "C", "B": "B", "C": "A"}
+
+
+class StraddlesDiscontinuity(Iet3Error):
+    """A tracked interval properly crosses a discontinuity point."""
 
 
 def walk_interval(coder, lo, hi, js, je, budget=STEP_BUDGET):
@@ -36,7 +40,7 @@ def walk_interval(coder, lo, hi, js, je, budget=STEP_BUDGET):
     # x is at most `budget` shifts from lo
     tol = fr.tol(fr.size(lo) + budget * fr.size(*coder.shift) + fr.size(jw, je, *uw))
     name = []
-    for n, (x, i) in enumerate(coder.forward_points(lo)):
+    for n, (x, i) in enumerate(orbit_points(coder, lo)):
         v = x[0] / L + x[1] / L * ef
         # [x, y) meets J when y > js and x < je
         if n and ((t := v - fjw) > tol or t >= -tol and cmp(x, jw) > 0) \
@@ -70,7 +74,7 @@ def walk_substitution(spec, lam):
     c, d1, d2, end, b1, b2 = (coder.frame.pair(x) for x in scaled)
     names, landed = zip(*(walk_interval(coder, lo, hi, c, end)
                           for lo, hi in ((c, d1), (d1, d2), (d2, end))))
+    if reduced:  # phi(A), phi(B), phi(C) are the walks of C, B, A reversed, A and C swapped
+        names = [w[::-1].translate(str.maketrans("AC", "CA")) for w in reversed(names)]
     sub = Substitution(("A", "B", "C"), dict(zip("ABC", names)))
-    if reduced:
-        sub = sub.relabel(_REVERSAL_SWAP).reversed_images()
     return landed == ((b2, end), (b1, b2), (c, b1)), sub
