@@ -11,29 +11,39 @@ Valid parameters satisfy eps in (0,1), 1 > l > max(1-eps, eps) and
 
 `step` and `inverse_step` act on QuadNums and are the plain reference.
 Every orbit is instead coded by one kernel, `code`, on the integer pairs
-of a `qfield.Frame`: a step is an integer addition and a letter at most
-two comparisons with the cuts, and it returns the letters as text.
-Floats only filter these comparisons: a float margin inside the frame's
-error bound is decided by the exact `Frame.cmp`.  `OrbitCoder.letters`
-runs it forward or backward; `OrbitCoder.points` derives the orbit points
-from that text as running sums of the moves, so nothing else decides a
-letter.  `code_orbit` is the word-level wrapper; `sturmian.sturmian_word`
-runs the same kernel on a rotation.
+of a `qfield.Frame`, run on the base exchange or on an induced one: each
+piece reads a word and moves by one integer translation, and the kernel
+returns the words as text.  Floats only filter its comparisons: a float
+margin inside the frame's error bound is decided by the exact
+`Frame.cmp`.  `read` chooses the exchange: the first return map to a
+window around the start point, a level of the nested induction
+`_induce` (the Rauzy-type induction of three-interval exchanges), whose
+pieces read whole return words, or the base exchange for short reads.
+`OrbitCoder.letters` runs it forward or backward; `OrbitCoder.points`
+derives the orbit points from that text as running sums of the moves, so
+nothing else decides a letter.  `code_orbit` is the word-level wrapper;
+`sturmian.sturmian_word` runs `read` on a rotation, and
+`invariance.return_substitution` runs `_induce` on the windows of its
+synthesis.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from math import inf
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .errors import OutOfDomain, RationalSlope
 from .qfield import FieldDesc, Frame, QuadNum
+from .quadunit import contraction
 
 __all__ = ["IetSpec", "make_spec", "normalize", "step", "inverse_step", "code_orbit",
-           "non_degenerate", "code", "OrbitCoder", "orbit_window"]
+           "non_degenerate", "code", "read", "OrbitCoder", "orbit_window"]
 
 LETTERS = "ABC"
+INDUCE_COST = 32  # a level is induced for reads this many times its mean word; see `read`
 
 
 @dataclass(frozen=True)
@@ -140,45 +150,142 @@ def non_degenerate(spec: IetSpec) -> bool:
     return not spec.l.in_z_eps()
 
 
-def code(frame: Frame, start, n: int, cut1, cut2, moves, names: str):
-    """(text, end point) of n steps of an exchange with two cuts.
+def code(frame: Frame, start, n: int, ends, moves, words, shift):
+    """(text, end point) of the first n letters read from `start` by an
+    exchange of k pieces.
 
-    A point below `cut1` reads names[0] and moves by moves[0], one below
-    `cut2` names[1] and moves[1], any other names[2] and moves[2]; points,
-    cuts and moves are integer pairs of `frame`.  Each comparison is the
-    float margin t = approx(x) - approx(cut) against the frame's error
-    bound, with `Frame.cmp` inside it.  A pair grows by at most one move
-    per step, so the bound of the chunk of steps k ... 2k + 63 is taken at
-    step 2k + 64.  This is the one loop that decides an orbit's letters.
+    A point in [ends[i], ends[i+1]) reads words[i], of at least one letter,
+    and moves by moves[i]; points, ends and moves are integer pairs of
+    `frame`.  The piece of a point is the place of its float image among
+    the inner ends, found by bisection.  It stands when the image clears
+    both ends of the piece by the frame's error bound (an end moved by the
+    bound is one more rounding, well inside the bound's safety factor);
+    otherwise `Frame.cmp` against the k-1 inner ends decides it.  A letter
+    moves a point by one of the moves of `shift`, {letter: move}, so a word
+    of m letters grows its pair by at most m times the largest, and one
+    bound taken at n letters serves the whole read.  Whole words are read
+    until n letters are reached, in runs that cannot pass n; the last word
+    is cut at n, and the end point is the point before it moved by the
+    letters of the cut prefix.  This is the one loop that decides an
+    orbit's letters.
     """
     L, ef, cmp = frame.L, frame.ef, frame.cmp
-    f1, f2 = frame.approx(cut1), frame.approx(cut2)
-    (a0, a1), (b0, b1), (c0, c1) = moves
-    na, nb, nc = names
-    base, grow = frame.size(start) + frame.size(cut1, cut2), frame.size(*moves)
+    cuts = ends[1:-1]
+    inner = [frame.approx(p) for p in cuts]
+    tol = frame.tol(frame.size(start) + frame.size(*cuts) + n * frame.size(*shift.values()))
+    edges = [-inf, *inner, inf]
+    # each piece: its word, its move and the open range of images it stands for
+    table = [(w, m0, m1, lo + tol, hi - tol)
+             for w, (m0, m1), lo, hi in zip(words, moves, edges, edges[1:])]
+    longest = max(map(len, words))
     x0, x1 = start
     out, k = [], 0
     append = out.append
     while k < n:
-        check = 2 * k + 64
-        tol = frame.tol(base + check * grow)
-        ntol = -tol
-        for _ in range(min(n, check) - k):
+        mark = len(out)
+        for _ in range((n - k) // longest or 1):
             v = x0 / L + x1 / L * ef
-            if (t := v - f1) < ntol or t <= tol and cmp((x0, x1), cut1) < 0:
-                append(na)
-                x0 += a0
-                x1 += a1
-            elif (t := v - f2) < ntol or t <= tol and cmp((x0, x1), cut2) < 0:
-                append(nb)
-                x0 += b0
-                x1 += b1
-            else:
-                append(nc)
-                x0 += c0
-                x1 += c1
-        k = check
+            w, a0, a1, lo, hi = table[bisect(inner, v)]
+            if not lo < v < hi:  # an end within the bound
+                x = (x0, x1)
+                w, a0, a1, lo, hi = table[sum(cmp(x, cut) >= 0 for cut in cuts)]
+            append(w)
+            x0 += a0
+            x1 += a1
+        k += sum(map(len, out[mark:]))
+    if k > n:  # back over the last word, then on over its first letters
+        out[-1] = w = w[:n - k]
+        x0 -= a0
+        x1 -= a1
+        for a, (s0, s1) in shift.items():
+            count = w.count(a)
+            x0 += count * s0
+            x1 += count * s1
     return "".join(out), (x0, x1)
+
+
+def _induce(cmp, pieces, lo, hi, texts):
+    """First return map of the exchange `pieces` to the window [lo, hi).
+
+    `pieces` tile, from left to right, a window that holds [lo, hi); each
+    is (start, end, t, n, word): it moves by t and reads n letters.  A part
+    of [lo, hi) is pushed through them, cut at every piece end and window
+    end it straddles, until it lands in [lo, hi).  Returns the pieces of
+    the first return in the same form, each word a tuple of indices into
+    `pieces`.  Adjacent parts merge when they read the same letters, so
+    equal n and t are not enough (shift_A + shift_C = shift_B), and equal
+    index words are more than needed: a part that straddled an end of the
+    old window may read the same letters through other pieces, which
+    `texts`, the letters of `pieces`, settle.
+    """
+    out, todo = [], [(lo, hi, (0, 0), 0, ())]
+    while todo:
+        x, y, t, n, word = todo.pop()
+        while True:
+            u, v = (x[0] + t[0], x[1] + t[1]), (y[0] + t[0], y[1] + t[1])
+            if word and cmp(u, hi) < 0 and cmp(v, lo) > 0:  # [u, v) meets the window
+                if cmp(u, lo) < 0:
+                    cut = lo
+                elif cmp(v, hi) > 0:
+                    cut = hi
+                else:
+                    break
+            else:
+                for j, (_, cut, s, k, _) in enumerate(pieces):
+                    if cmp(u, cut) < 0:
+                        break
+                else:  # the pieces tile a window that holds every part
+                    raise AssertionError("a part left the window of the pieces")
+                if cmp(v, cut) <= 0:
+                    t, n, word = (t[0] + s[0], t[1] + s[1]), n + k, word + (j,)
+                    continue
+            m = (cut[0] - t[0], cut[1] - t[1])  # the cut, where the part started
+            todo.append((m, y, t, n, word))
+            y = m
+        if out and out[-1][2:4] == (t, n) and (out[-1][4] == word or "".join(
+                texts[i] for i in out[-1][4]) == "".join(texts[i] for i in word)):
+            out[-1] = (out[-1][0], y, t, n, word)
+        else:
+            out.append((x, y, t, n, word))
+    return out
+
+
+def read(frame: Frame, start, n: int, ends, moves, names: str, contract):
+    """(text, end point) of the first n letters read from `start` by the
+    exchange whose piece [ends[i], ends[i+1]) reads names[i] and moves by
+    moves[i], with `code` run on an induced exchange.
+
+    With Omega = [ends[0], ends[-1]) and M = `contract`, the integer matrix
+    of a unit lam' in (0, 1) with lam * lam' = 1, the windows
+    W_k = start + M^k (Omega - start) hold `start` and nest.  The first
+    return map to W_k is induced from the one to W_(k-1) by `_induce`,
+    W_0 = Omega being the exchange itself; each of its pieces reads a
+    return word and moves by one translation, so `code` decides a piece
+    per word instead of per letter.  The mean word length on W_k is
+    |Omega| / |W_k| = lam^k, and trace(M^k) = lam^k + lam'^k is an integer
+    within 1 of it.  Inducing a level pushes each of its few parts through
+    about lam pieces, with exact comparisons, at about the cost of coding
+    16 to 40 times lam words, so level k is induced only while
+    INDUCE_COST * trace(M^k) <= n; level 0 codes letter by letter.
+    """
+    (m00, m01), (m10, m11) = contract
+    trace = m00 + m11
+    before, t = 2, trace  # trace(M^(k-1)) and trace(M^k)
+    x0, x1 = start
+
+    def toward(p):  # start + M (p - start)
+        a, b = p[0] - x0, p[1] - x1
+        return (x0 + m00 * a + m01 * b, x1 + m10 * a + m11 * b)
+
+    words, shift = names, dict(zip(names, moves))
+    while INDUCE_COST * t <= n:
+        lo, hi = toward(ends[0]), toward(ends[-1])
+        pieces = _induce(frame.cmp, [(a, b, s, len(w), ()) for a, b, s, w in
+                                     zip(ends, ends[1:], moves, words)], lo, hi, words)
+        ends, moves = [p[0] for p in pieces] + [hi], [p[2] for p in pieces]
+        words = ["".join(words[i] for i in p[4]) for p in pieces]
+        before, t = t, trace * t - before
+    return code(frame, start, n, ends, moves, words, shift)
 
 
 def _add(p, q):
@@ -201,11 +308,12 @@ class OrbitCoder:
     """Exact orbit coding on the integer pairs of a `Frame`.
 
     The frame holds c, l, eps and any `extra` numbers the caller wants to
-    compare orbit points with.  `letters` codes the orbit with `code`: the
-    letter of a point is decided against the cuts d1, d2 (forward) or
-    c+l-eps, c+1-eps (backward, where the images tile the domain as
-    T(I3), T(I2), T(I1)).  Everything else reads its text: `points`
-    rebuilds the orbit points as running sums of the moves.
+    compare orbit points with.  `letters` codes the orbit with `read`, on
+    the exchange with cuts d1, d2 (forward) or c+l-eps, c+1-eps (backward,
+    where the images tile the domain as T(I3), T(I2), T(I1)), or on its
+    first return map to a window around the start point.  Everything else
+    reads its text: `points` rebuilds the orbit points as running sums of
+    the moves.
     """
 
     def __init__(self, spec: IetSpec, extra: Iterable[QuadNum] = ()):
@@ -217,15 +325,22 @@ class OrbitCoder:
         self.b1, self.b2 = _add(self.end, self.shift[2]), _add(self.c, self.shift[0])
         back = tuple((-s[0], -s[1]) for s in self.shift)
         self._moves = (dict(zip(LETTERS, self.shift)), dict(zip(LETTERS, back)))
-        # code's arguments: backward, T^-1 reads C below b1, B below b2, else A
-        self._code = ((self.d1, self.d2, self.shift, LETTERS),
-                      (self.b1, self.b2, back[::-1], "CBA"))
+        # read's arguments: backward, T^-1 reads C below b1, B below b2, else A
+        self._read = (((self.c, self.d1, self.d2, self.end), self.shift, LETTERS),
+                      ((self.c, self.b1, self.b2, self.end), back[::-1], "CBA"))
+        self._contract = contraction(spec.field)
 
     def letters(self, n: int, start=(0, 0), back: bool = False) -> Tuple[str, Tuple[int, int]]:
         """(u_0 ... u_{n-1}, T^n(start)) of the orbit of `start`; with
         back=True, (u_-1 ... u_-n, T^-n(start)).  Resuming from the returned
-        point continues the same word."""
-        return code(self.frame, start, n, *self._code[back])
+        point continues the same word.  A start outside [c, c+l) has no
+        orbit to read and raises OutOfDomain."""
+        if n < 0:
+            raise ValueError("length must be nonnegative")
+        cmp = self.frame.cmp
+        if cmp(start, self.c) < 0 or cmp(start, self.end) >= 0:
+            raise OutOfDomain(f"{self.frame.point(start)} not in [c, c+l)")
+        return read(self.frame, start, n, *self._read[back], self._contract)
 
     def points(self, text: str, start=(0, 0), back: bool = False) -> List[Tuple[int, int]]:
         """The orbit point of each letter of `text`, read from `start` as

@@ -14,11 +14,13 @@ from 0 = lam' * 0, u = phi(u) on both sides.  J is scaled by the one unit
 `synthesize` derives from c and c+l; the images may total at most
 `STEP_BUDGET` letters.
 
-The induction compares the integer pairs of one `iet.OrbitCoder` frame,
-exactly, with `Frame.cmp`.  The block-start check reads the coder's text and
-tests each point's membership in J and in lam' * I_i through the frame's
-float filter, with `Frame.cmp` inside the error bound.  The block cut is
-`Substitution.block_starts`, the one `verify_fixed_point` makes.
+The induction is `iet._induce`, which also gives the orbit coder its
+induced exchanges; here it compares the integer pairs of one
+`iet.OrbitCoder` frame, exactly, with `Frame.cmp`.  The block-start check
+reads the coder's text and tests each point's membership in J and in
+lam' * I_i through the frame's float filter, with `Frame.cmp` inside the
+error bound.  The block cut is `Substitution.block_starts`, the one
+`verify_fixed_point` makes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Optional, Tuple
 
 from .errors import InvalidUnit, NotApplicable, StepBudgetExceeded, WitnessRejected
-from .iet import LETTERS, IetSpec, OrbitCoder, make_spec, spec_pairs
+from .iet import LETTERS, IetSpec, OrbitCoder, _induce, make_spec, spec_pairs
 from .qfield import QuadNum, denominator
 from .quadunit import ScalingUnit, class_fixing_power, integer_matrix, lemma_unit
 from .substitution import Substitution
@@ -146,52 +148,6 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
                 if below(x, v, i) or not below(x, v, i + 1):
                     return False
     return True
-
-
-def _induce(cmp, pieces, lo, hi, texts):
-    """First return map of the exchange `pieces` to the window [lo, hi).
-
-    `pieces` tile, from left to right, a window that holds [lo, hi); each
-    is (start, end, t, n, word): it moves by t and reads n letters.  A part
-    of [lo, hi) is pushed through them, cut at every piece end and window
-    end it straddles, until it lands in [lo, hi).  Returns the pieces of
-    the first return in the same form, each word a tuple of indices into
-    `pieces`.  Adjacent parts merge when they read the same letters, so
-    equal n and t are not enough (shift_A + shift_C = shift_B), and equal
-    index words are more than needed: a part that straddled an end of the
-    old window may read the same letters through other pieces, which
-    `texts`, the letters of `pieces`, settle.
-    """
-    out, todo = [], [(lo, hi, (0, 0), 0, ())]
-    while todo:
-        x, y, t, n, word = todo.pop()
-        while True:
-            u, v = (x[0] + t[0], x[1] + t[1]), (y[0] + t[0], y[1] + t[1])
-            if word and cmp(u, hi) < 0 and cmp(v, lo) > 0:  # [u, v) meets the window
-                if cmp(u, lo) < 0:
-                    cut = lo
-                elif cmp(v, hi) > 0:
-                    cut = hi
-                else:
-                    break
-            else:
-                for j, (_, cut, s, k, _) in enumerate(pieces):
-                    if cmp(u, cut) < 0:
-                        break
-                else:  # the pieces tile a window that holds every part
-                    raise AssertionError("a part left the window of the pieces")
-                if cmp(v, cut) <= 0:
-                    t, n, word = (t[0] + s[0], t[1] + s[1]), n + k, word + (j,)
-                    continue
-            m = (cut[0] - t[0], cut[1] - t[1])  # the cut, where the part started
-            todo.append((m, y, t, n, word))
-            y = m
-        if out and out[-1][2:4] == (t, n) and (out[-1][4] == word or "".join(
-                texts[i] for i in out[-1][4]) == "".join(texts[i] for i in word)):
-            out[-1] = (out[-1][0], y, t, n, word)
-        else:
-            out.append((x, y, t, n, word))
-    return out
 
 
 def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Substitution]:

@@ -17,7 +17,7 @@ from .errors import InvalidUnit, PerfectSquare
 from .qfield import FieldDesc, QuadNum, class_of
 
 __all__ = ["PellSolution", "ScalingUnit", "solve_pell", "lemma_unit", "class_fixing_power",
-           "integer_matrix"]
+           "integer_matrix", "contraction"]
 
 
 def integer_matrix(x: QuadNum):
@@ -100,6 +100,12 @@ def lemma_unit(field: FieldDesc) -> QuadNum:
         gamma = -gamma
     assert gamma * gamma.conjugate() == field.one()
     return gamma if gamma > 1 else gamma.inverse()
+
+
+@cache  # every orbit coder and Sturmian word reads through it
+def contraction(field: FieldDesc):
+    """Rows of the integer matrix of Lambda0' = 1/Lambda0, in (0, 1)."""
+    return tuple(map(tuple, integer_matrix(lemma_unit(field).conjugate())))
 
 
 def class_fixing_power(lambda0: QuadNum, q: int, anchors) -> ScalingUnit:

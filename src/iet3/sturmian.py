@@ -13,12 +13,14 @@ those identities letter by letter, and checking that the three-letter
 decision agrees with the two Sturmian decisions, are the strongest
 independent cross-checks of the main decision procedure.
 
-`sturmian_word` codes the rotation by the slope with the orbit kernel
-`iet.code`: a rotation is an exchange with one cut, and the kernel decides
-each letter with the float filter of a `qfield.Frame`, exactly by
-`Frame.cmp` inside its error bound, so floats never decide a letter on
-their own.  Ceiling rounding is the floor word of the complementary
-slope and intercept with 0 and 1 swapped.
+`sturmian_word` codes the rotation by the slope with `iet.read`, the
+orbit kernel run on the base exchange or on an induced one: a rotation is
+an exchange of two pieces, and its first return map to a window around
+the intercept reads whole words.  The kernel decides each piece with the
+float filter of a `qfield.Frame`, exactly by `Frame.cmp` inside its error
+bound, so floats never decide a letter on their own.  Ceiling rounding is
+the floor word of the complementary slope and intercept with 0 and 1
+swapped.
 """
 
 from __future__ import annotations
@@ -26,15 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnknownLetter
-from .iet import IetSpec, OrbitCoder, code, non_degenerate
+from .iet import IetSpec, OrbitCoder, non_degenerate, read
 from .invariance import decide, is_sturm
 from .qfield import Frame, QuadNum
+from .quadunit import contraction
 
 __all__ = ["SturmianSpec", "sturmian_word", "sigma", "sturmian_images_match",
            "yasutomi", "corollary_crosscheck"]
 
-SIGMA_01 = str.maketrans({"A": "0", "B": "01", "C": "1"})
-SIGMA_10 = str.maketrans({"A": "0", "B": "10", "C": "1"})
+_AC = str.maketrans("AC", "01")  # A -> 0 and C -> 1
 _NOT_ABC = str.maketrans("", "", "ABC")  # deletes A, B and C
 
 
@@ -59,44 +61,40 @@ def sturmian_word(spec: SturmianSpec, n: int) -> str:
     """First n letters u_k = round((k+1)a + x0) - round(ka + x0), exactly.
 
     For floor rounding u_k = 1 iff frac(ka + x0) >= 1 - a: the coding of
-    the rotation y -> y + a mod 1 from x0, an exchange with the one cut
-    1 - a (given twice) and the moves a, a - 1, run by `iet.code`.  As
+    the rotation y -> y + a mod 1 from x0, the exchange of [0, 1 - a)
+    and [1 - a, 1) with the moves a, a - 1, run by `iet.read`.  As
     ceil(z) = -floor(-z), the ceiling word is the floor word of slope
     1 - a and intercept frac(-x0) with 0 and 1 swapped.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    alpha, x0, names = spec.alpha, spec.x0, "0?1"  # the middle letter never occurs
+    alpha, x0, names = spec.alpha, spec.x0, "01"
     if spec.rounding == "ceiling":
-        alpha, x0, names = 1 - alpha, (-x0).frac(), "1?0"
+        alpha, x0, names = 1 - alpha, (-x0).frac(), "10"
     fr = Frame(alpha.field, [alpha, x0])
-    a, cut = fr.pair(alpha), fr.pair(1 - alpha)
-    return code(fr, fr.pair(x0), n, cut, cut, (a, a, (a[0] - fr.L, a[1])), names)[0]
+    a = fr.pair(alpha)
+    ends, moves = ((0, 0), fr.pair(1 - alpha), (fr.L, 0)), (a, (a[0] - fr.L, a[1]))
+    return read(fr, fr.pair(x0), n, ends, moves, names, contraction(alpha.field))[0]
 
 
 def sigma(variant: str, word: str) -> str:
     """Image of a word over {A,B,C} under sigma01 or sigma10."""
-    table = {"01": SIGMA_01, "10": SIGMA_10}.get(variant)
-    if table is None:
+    if variant not in ("01", "10"):
         raise ValueError("variant must be '01' or '10'")
     unknown = word.translate(_NOT_ABC)
     if unknown:
         raise UnknownLetter(f"letter {unknown[0]!r} not in ABC")
-    return word.translate(table)
+    return word.replace("B", variant).translate(_AC)  # B's image is the variant
 
 
 def sturmian_images_match(spec3: IetSpec, radius: int) -> bool:
     """Do the sigma images of the exchange word equal the predicted
     Sturmian words (slope 1-eps, intercept -c mod 1; slope 1-eps,
     intercept -(l+c) mod 1) over `radius` letters of the images?"""
-    # read the fewest letters whose images reach radius: B gives two image
-    # letters, A and C one, so the next ceil(short/2) letters never overshoot
-    coder, parts, x, length = OrbitCoder(spec3), [], (0, 0), 0
-    while length < radius:
-        text, x = coder.letters((radius - length + 1) // 2, x)
-        parts.append(text)
-        length += len(text) + text.count("B")
-    word = "".join(parts)
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    # each letter has an image of one or two letters, so radius letters reach radius
+    word, _ = OrbitCoder(spec3).letters(radius)
     eps, one = spec3.eps, spec3.field.one()
     expected01 = sturmian_word(SturmianSpec(one - eps, (-spec3.c).frac()), radius)
     expected10 = sturmian_word(SturmianSpec(one - eps, (-spec3.l - spec3.c).frac()), radius)

@@ -1,9 +1,11 @@
 """References that only the tests read: the orbit as a stream of points,
-the ancestor criterion of the paper's lemma, and the exact spectrum of an
-incidence matrix.  The library's decision and its proof need none of them.
+Sturmian words by integer rounding, the ancestor criterion of the paper's
+lemma, and the exact spectrum of an incidence matrix.  The library's
+decision and its proof need none of them.
 """
 
 from functools import reduce
+from math import isqrt, lcm
 
 from iet3 import OrbitCoder, step
 from iet3.errors import NoSquareRoot, OutOfDomain, StepBudgetExceeded
@@ -21,6 +23,29 @@ def orbit_points(coder, start=(0, 0), back=False):
         text, end = coder.letters(n, start, back)
         yield from zip(coder.points(text, start, back), map("ABC".index, text))
         start, n = end, 2 * n
+
+
+def rounding_word(alpha, x0, n, rounding="floor"):
+    """u_k = round((k+1)*alpha + x0) - round(k*alpha + x0) for k < n, with
+    every rounding done in integers: q*(a + b*e) = (P + Q*sqrt(D)) / (2Aq)
+    for P = 2A*qa - B*qb and Q = branch*qb, and as Q*sqrt(D) is 0 or
+    irrational, floor((P + Q*sqrt(D)) / m) = floor((P + floor(Q*sqrt(D))) / m)."""
+    f = alpha.field
+    q = lcm(alpha.a.denominator, alpha.b.denominator, x0.a.denominator, x0.b.denominator)
+
+    def coords(x):
+        a, b = int(q * x.a), int(q * x.b)
+        return 2 * f.A * a - f.B * b, f.branch * b
+
+    (pa, qa), (px, qx), m = coords(alpha), coords(x0), 2 * f.A * q
+
+    def floor(P, Q):
+        r = isqrt(Q * Q * f.disc)
+        return (P + (r if Q >= 0 else -r - 1)) // m
+
+    sign = 1 if rounding == "floor" else -1  # ceil(z) = -floor(-z)
+    values = [sign * floor(sign * (px + k * pa), sign * (qx + k * qa)) for k in range(n + 1)]
+    return "".join(str(values[k + 1] - values[k]) for k in range(n))
 
 
 def ancestor(spec, j_start, j_end, z0):

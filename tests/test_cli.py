@@ -2,13 +2,15 @@
 round trip, orbit generation, complexity tables, cut-and-project TSV, and
 batch sweeps."""
 
+import hashlib
 import json
 
 import pytest
 
 import iet3.invariance
-from iet3 import Substitution, make_field, parse_quadnum
-from iet3.cli import build_parser, main
+from conftest import corpus
+from iet3 import Substitution, decide, make_field, parse_quadnum
+from iet3.cli import build_parser, main, report_to_json
 
 WORKED = ["--field", "1,2,-1,+", "--eps", "e", "--l", "1/2+1/2*e",
           "--c=-1/2*e"]
@@ -81,6 +83,17 @@ class TestDecide:
                             "--l=-1+4*e", "--c=-1/2*e"], capsys)
         assert code == 1
         assert "Degenerate" in out
+
+
+def test_decide_reports_unchanged_over_corpus():
+    """SHA-256 of the sorted-key JSON reports of `decide` on the 108 corpus
+    specs, joined in corpus order, pins every verdict, condition, unit,
+    return time and image: work on orbit coding, the induction or
+    synthesis must leave them as they are."""
+    texts = [json.dumps(report_to_json(decide(spec)), sort_keys=True) for _l, spec in corpus()]
+    assert len(texts) == 108
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == \
+        "e541e07b3390bf9a8949ceae3f74f7912565233534dc8ac90af29088f0e337a5"
 
 
 class TestVerify:

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import iet3.iet
 from conftest import convergents
 from iet3 import (OrbitCoder, code_orbit, inverse_step, make_field, make_spec,
                   non_degenerate, normalize, orbit_window, parse_quadnum, step)
 from iet3.errors import OutOfDomain, RationalSlope
+from iet3.quadunit import contraction
 from oracles import orbit_points
 
 F2 = make_field(1, 2, -1, 1)
+F3 = make_field(1, 2, -2, 1)  # e = sqrt3 - 1
 F5 = make_field(1, 1, -1, 1)  # e = (sqrt5 - 1)/2
 WORKED_WORD = "BBCBBCACBBCBBCACBCAC"
 
@@ -238,3 +241,82 @@ class TestKernel:
         coder = OrbitCoder(twin[0])
         stream = coder.backward() if back else coder.forward()
         assert "".join(islice(stream, 1000)) == coder.letters(1000, back=back)[0]
+
+    @pytest.fixture(scope="class", params=[
+        (F2, "1/2+1/2*e", "-1/2*e", 0), (F2, "1/2+1/2*e", "-1/2*e", Fraction(1, 3 * 10**400)),
+        (F3, "1-1/3*e", "-1/3", 0),
+        (F5, "1-1/2*e", "-1/3*e", 0), (F5, "1-1/2*e", "-1/3*e", Fraction(1, 3 * 10**400))],
+        ids=["sqrt2", "sqrt2-twin", "sqrt3", "sqrt5", "sqrt5-twin"])
+    def leveled(self, request):
+        """A spec per field, and the sqrt2 and sqrt5 ones with c moved by
+        10^-400/3, whose pairs lie far beyond the float range.  With `ns`,
+        the read lengths INDUCE_COST * trace(M^k) at which `read` starts to
+        induce level k, for k = 1 and, in sqrt2 whose unit is the smallest,
+        k = 2; and reference steps each way past the last of them."""
+        field, l, c, tiny = request.param
+        sp = make_spec(field.eps(), parse_quadnum(l, field), parse_quadnum(c, field) - tiny)
+        (m00, _), (_, m11) = contraction(field)
+        trace = m00 + m11
+        ns = [iet3.iet.INDUCE_COST * t for t in (trace, trace * trace - 2)]
+        ns = ns if ns[1] < 1200 else ns[:1]
+        steps = ns[-1] + 80
+        return sp, ns, {back: reference(sp, field.zero(), steps + 1, back)
+                        for back in (False, True)}
+
+    @pytest.mark.parametrize("back", [False, True])
+    def test_leveled_letters_match_step(self, leveled, back, monkeypatch):
+        """Reads at each level's threshold, one letter either side of it, and
+        at every length up to 80 letters past the deepest, so that the last
+        word is cut at each of its letters and at its end."""
+        sp, ns, ref = leveled
+        coder = OrbitCoder(sp)
+        induced, induce = [], iet3.iet._induce
+
+        def counted(*args):
+            induced.append(args)
+            return induce(*args)
+        monkeypatch.setattr(iet3.iet, "_induce", counted)
+        coder.letters(ns[-1], back=back)
+        assert len(induced) == len(ns)
+        lengths = sorted({n + d for n in ns for d in (-1, 0, 1)} | set(range(ns[-1], ns[-1] + 80)))
+        for n in lengths:
+            text, end = coder.letters(n, back=back)
+            assert text == "".join(letter for _z, letter in ref[back][:n]), n
+            assert coder.frame.point(end) == ref[back][n - 1 if back else n][0], n
+
+    @pytest.mark.parametrize("back", [False, True])
+    def test_leveled_resume_matches_step(self, leveled, back):
+        """A read from a resumed point induces its windows around that point."""
+        sp, ns, ref = leveled
+        coder = OrbitCoder(sp)
+        _, mid = coder.letters(37, back=back)
+        text, end = coder.letters(ns[-1] + 40, mid, back=back)
+        assert text == "".join(letter for _z, letter in ref[back][37:ns[-1] + 77])
+        assert coder.frame.point(end) == ref[back][ns[-1] + (76 if back else 77)][0]
+
+    def test_negative_length_rejected(self, twin):
+        with pytest.raises(ValueError, match="nonnegative"):
+            OrbitCoder(twin[0]).letters(-3)
+
+    @pytest.mark.parametrize("back", [False, True])
+    def test_start_outside_domain_rejected(self, twin, back):
+        coder = OrbitCoder(twin[0])
+        for x in (coder.end, (coder.c[0] - 1, coder.c[1])):
+            with pytest.raises(OutOfDomain):
+                coder.letters(1000, x, back=back)
+
+    def test_leveled_starts_within_float_error_of_a_cut(self):
+        """The starts of TestFloatFilter's test of that name, on the sqrt2
+        spec, read far enough to induce a level: the start's window holds
+        the cut, so its first piece needs the exact fallback."""
+        sp = make_spec(F2.eps(), parse_quadnum("1/2+1/2*e", F2), parse_quadnum("-1/2*e", F2))
+        coder = OrbitCoder(sp)
+        (m00, _), (_, m11) = contraction(F2)
+        n = iet3.iet.INDUCE_COST * (m00 + m11)
+        cuts = {False: (sp.d1, sp.d2), True: (sp.end - sp.eps, sp.c + 1 - sp.eps)}
+        for a, b in convergents(F2, 10**12)[-3:]:
+            for back in (False, True):
+                for cut in cuts[back]:
+                    z = cut + b * F2.eps() - a
+                    text, _ = coder.letters(n, coder.frame.pair(z), back)
+                    assert text == "".join(letter for _z, letter in reference(sp, z, n, back))

@@ -2,6 +2,7 @@
 invariance criterion for Sturmian words, and the agreement between the
 three-letter and two-letter decisions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from iet3 import (SturmianSpec, complexity, corollary_crosscheck, make_field,
                   make_spec, parse_quadnum, sigma, sturmian_images_match,
                   sturmian_word, yasutomi)
 from iet3.errors import UnknownLetter
+from oracles import rounding_word
 
 F2 = make_field(1, 2, -1, 1)
 F5 = make_field(1, 1, -1, 1)
@@ -85,18 +87,27 @@ class TestSigma:
         with pytest.raises(ValueError):
             sigma("11", "A")
 
+    def test_matches_letter_map(self):
+        word = "".join(random.Random(3).choices("ABC", k=10**4))
+        for variant in ("01", "10"):
+            images = {"A": "0", "B": variant, "C": "1"}
+            assert sigma(variant, word) == "".join(images[a] for a in word)
+
 
 class TestImagesMatch:
     def test_worked_spec(self, spec):
         assert sturmian_images_match(spec, 10**4)
 
-    def test_radius_zero_vacuous(self, spec):
-        assert sturmian_images_match(spec, 0)
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_radius_below_one_rejected(self, spec, radius):
+        """Matching no letter is no evidence."""
+        with pytest.raises(ValueError, match="radius must be at least 1"):
+            sturmian_images_match(spec, radius)
 
     @pytest.mark.parametrize("radius", [1, 2, 7, 1001])
     def test_reads_just_enough_letters(self, spec, radius, monkeypatch):
-        """The sigma images are read to `radius` letters and no further,
-        and match sturmian_word computed directly."""
+        """The exchange word is read in one `letters` call of `radius`
+        letters, and its sigma images match sturmian_word computed directly."""
         read = []
         letters = iet3.sturmian.OrbitCoder.letters
 
@@ -107,7 +118,7 @@ class TestImagesMatch:
         monkeypatch.setattr(iet3.sturmian.OrbitCoder, "letters", spy)
         assert sturmian_images_match(spec, radius)
         word = "".join(read)
-        assert len(sigma("01", word)) >= radius > len(sigma("01", word[:-1]))
+        assert [len(text) for text in read] == [radius]
         one = F2.one()
         for variant, intercept in (("01", (-spec.c).frac()), ("10", (-spec.l - spec.c).frac())):
             expected = sturmian_word(SturmianSpec(one - spec.eps, intercept), radius)
@@ -180,3 +191,15 @@ class TestRotationCoding:
             values = [rnd(k * e + x0) for k in range(n + 1)]
             want = "".join(str(values[k + 1] - values[k]) for k in range(n))
             assert sturmian_word(SturmianSpec(e, x0, rounding), n) == want
+
+    @pytest.mark.parametrize("rounding", ["floor", "ceiling"])
+    def test_leveled_words_match_integer_rounding(self, rounding):
+        """10^4 letters, which `read` codes on induced rotations (up to
+        three levels in sqrt2), against `oracles.rounding_word`, for x0 = 0,
+        a generic intercept and a near-crossing one."""
+        for f in (F2, F5):
+            e = f.eps()
+            a, b = convergents(f, 10**12)[-1]
+            for x0 in (f.zero(), parse_quadnum("1/3+1/3*e", f), 1 - e + (b * e - a)):
+                want = rounding_word(e, x0, 10**4, rounding)
+                assert sturmian_word(SturmianSpec(e, x0, rounding), 10**4) == want
