@@ -301,6 +301,9 @@ def main(argv=None) -> int:
     except (*_INPUT_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a window of letters, say, too long to hold
+        print("error: out of memory; the requested window is too large", file=sys.stderr)
+        return 2
     finally:
         if out is not sys.stdout:
             out.close()

@@ -13,18 +13,18 @@ Valid parameters satisfy eps in (0,1), 1 > l > max(1-eps, eps) and
 Every orbit is instead coded by one kernel, `code`, on the integer pairs
 of a `qfield.Frame`, run on the base exchange or on an induced one: each
 piece reads a word and moves by one integer translation, and the kernel
-returns the words as text.  Floats only filter its comparisons: a float
-margin inside the frame's error bound is decided by the exact
-`Frame.cmp`.  `read` chooses the exchange: the first return map to a
-window around the start point, a level of the nested induction
-`_induce` (the Rauzy-type induction of three-interval exchanges), whose
-pieces read whole return words, or the base exchange for short reads.
-`OrbitCoder.letters` runs it forward or backward; `OrbitCoder.points`
-derives the orbit points from that text as running sums of the moves, so
-nothing else decides a letter.  `code_orbit` is the word-level wrapper;
-`sturmian.sturmian_word` runs `read` on a rotation, and
-`invariance.return_substitution` runs `_induce` on the windows of its
-synthesis.
+returns the words as text.  `read` chooses the exchange: the first
+return map to a window around the start point, a level of the nested
+induction `_induce` (the Rauzy-type induction of three-interval
+exchanges), whose pieces read whole return words, or the base exchange
+for short reads.  Floats only filter the comparisons of `code` and
+`_induce`: a float margin inside the frame's error bound is decided by
+the exact `Frame.cmp`.  `OrbitCoder.letters` runs `read` forward or
+backward; `OrbitCoder.points` derives the orbit points from that text as
+running sums of the moves, so nothing else decides a letter.
+`code_orbit` is the word-level wrapper; `sturmian.sturmian_word` runs
+`read` on a rotation, and `invariance.return_substitution` runs `_induce`
+on the windows of its synthesis.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def code(frame: Frame, start, n: int, ends, moves, words, shift):
     return "".join(out), (x0, x1)
 
 
-def _induce(cmp, pieces, lo, hi, texts):
+def _induce(frame: Frame, pieces, lo, hi, texts):
     """First return map of the exchange `pieces` to the window [lo, hi).
 
     `pieces` tile, from left to right, a window that holds [lo, hi); each
@@ -217,31 +217,57 @@ def _induce(cmp, pieces, lo, hi, texts):
     index words are more than needed: a part that straddled an end of the
     old window may read the same letters through other pieces, which
     `texts`, the letters of `pieces`, settle.
+
+    Points are integer pairs of `frame`.  A part [x, y) moved by t is
+    compared at u = x + t and v = y + t through the frame's float filter:
+    a margin between float images decides when it clears the bound `tol`,
+    and `Frame.cmp` decides inside it.  The piece holding u is found by
+    bisection on the float images of the piece ends, or, when u lies within
+    the bound of one, by counting with `Frame.cmp` the ends at or below u.
+    The bound is carried per part.  With s the largest size of an end or
+    window end, x and y are window ends or cuts m = end - t', t' an earlier
+    translation of the part, so a margin sums sizes of at most
+    2 * (s + size(t)); as `tol` is linear in the size, it starts at tol(2s)
+    and grows by tol(2 * size) of each move the part takes.
     """
-    out, todo = [], [(lo, hi, (0, 0), 0, ())]
+    L, ef, cmp = frame.L, frame.ef, frame.cmp
+    ends = [p[1] for p in pieces]
+    fends = [frame.approx(p) for p in ends]
+    flo, fhi = frame.approx(lo), frame.approx(hi)
+    # each piece: its move, its letter count and the bound that the move adds
+    steps = [(*s, k, frame.tol(2 * frame.size(s))) for _, _, s, k, _ in pieces]
+    last = len(pieces) - 1
+    out, todo = [], [(lo, hi, 0, 0, frame.tol(2 * frame.size(lo, hi, *ends)), 0, ())]
     while todo:
-        x, y, t, n, word = todo.pop()
+        x, y, t0, t1, tol, n, word = todo.pop()
+        (x0, x1), (y0, y1) = x, y
         while True:
-            u, v = (x[0] + t[0], x[1] + t[1]), (y[0] + t[0], y[1] + t[1])
-            if word and cmp(u, hi) < 0 and cmp(v, lo) > 0:  # [u, v) meets the window
-                if cmp(u, lo) < 0:
+            fu = (x0 + t0) / L + (x1 + t1) / L * ef
+            fv = (y0 + t0) / L + (y1 + t1) / L * ef
+            # [u, v) meets the window: u < hi and lo < v
+            if word and ((d := fu - fhi) < -tol or d <= tol and cmp((x0 + t0, x1 + t1), hi) < 0) \
+                    and ((d := fv - flo) > tol or d >= -tol and cmp((y0 + t0, y1 + t1), lo) > 0):
+                if (d := fu - flo) < -tol or d <= tol and cmp((x0 + t0, x1 + t1), lo) < 0:
                     cut = lo
-                elif cmp(v, hi) > 0:
+                elif (d := fv - fhi) > tol or d >= -tol and cmp((y0 + t0, y1 + t1), hi) > 0:
                     cut = hi
                 else:
                     break
             else:
-                for j, (_, cut, s, k, _) in enumerate(pieces):
-                    if cmp(u, cut) < 0:
-                        break
-                else:  # the pieces tile a window that holds every part
-                    raise AssertionError("a part left the window of the pieces")
-                if cmp(v, cut) <= 0:
-                    t, n, word = (t[0] + s[0], t[1] + s[1]), n + k, word + (j,)
+                j = bisect(fends, fu)
+                if not (j <= last and fends[j] - fu > tol and (j == 0 or fu - fends[j - 1] > tol)):
+                    j = sum(cmp((x0 + t0, x1 + t1), e) >= 0 for e in ends)  # u near an end
+                    if j > last:  # the pieces tile a window that holds every part
+                        raise AssertionError("a part left the window of the pieces")
+                cut = ends[j]
+                if (d := fv - fends[j]) < -tol or d <= tol and cmp((y0 + t0, y1 + t1), cut) <= 0:
+                    s0, s1, k, grow = steps[j]
+                    t0, t1, n, word, tol = t0 + s0, t1 + s1, n + k, word + (j,), tol + grow
                     continue
-            m = (cut[0] - t[0], cut[1] - t[1])  # the cut, where the part started
-            todo.append((m, y, t, n, word))
-            y = m
+            m = (cut[0] - t0, cut[1] - t1)  # the cut, where the part started
+            todo.append((m, (y0, y1), t0, t1, tol, n, word))
+            y0, y1 = m
+        y, t = (y0, y1), (t0, t1)
         if out and out[-1][2:4] == (t, n) and (out[-1][4] == word or "".join(
                 texts[i] for i in out[-1][4]) == "".join(texts[i] for i in word)):
             out[-1] = (out[-1][0], y, t, n, word)
@@ -280,8 +306,8 @@ def read(frame: Frame, start, n: int, ends, moves, names: str, contract):
     words, shift = names, dict(zip(names, moves))
     while INDUCE_COST * t <= n:
         lo, hi = toward(ends[0]), toward(ends[-1])
-        pieces = _induce(frame.cmp, [(a, b, s, len(w), ()) for a, b, s, w in
-                                     zip(ends, ends[1:], moves, words)], lo, hi, words)
+        pieces = _induce(frame, [(a, b, s, len(w), ()) for a, b, s, w in
+                                zip(ends, ends[1:], moves, words)], lo, hi, words)
         ends, moves = [p[0] for p in pieces] + [hi], [p[2] for p in pieces]
         words = ["".join(words[i] for i in p[4]) for p in pieces]
         before, t = t, trace * t - before

@@ -16,11 +16,12 @@ from 0 = lam' * 0, u = phi(u) on both sides.  J is scaled by the one unit
 
 The induction is `iet._induce`, which also gives the orbit coder its
 induced exchanges; here it compares the integer pairs of one
-`iet.OrbitCoder` frame, exactly, with `Frame.cmp`.  The block-start check
-reads the coder's text and tests each point's membership in J and in
-lam' * I_i through the frame's float filter, with `Frame.cmp` inside the
-error bound.  The block cut is `Substitution.block_starts`, the one
-`verify_fixed_point` makes.
+`iet.OrbitCoder` frame through the frame's float filter, with
+`Frame.cmp` deciding every margin inside the error bound.  The
+block-start check reads the coder's text once, moving an integer pair and
+its float image letter by letter, and tests each point's membership in J
+and in lam' * I_i through the same filter.  The block cut is
+`Substitution.block_starts`, the one `verify_fixed_point` makes.
 """
 
 from __future__ import annotations
@@ -128,25 +129,42 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
     approx = [fr.approx(p) for p in cuts]
     # every point is within `window` moves of 0
     tol = fr.tol(window * fr.size(*coder.shift) + fr.size(*cuts))
+    # a float image outside these is outside J (J's ends moved by the bound
+    # are one more rounding, well inside the bound's safety factor)
+    out_lo, out_hi = approx[0] - tol, approx[3] + tol
 
     def below(x, v, j):  # x < cuts[j], by the float margin and exactly inside its bound
         t = v - approx[j]
         return t < -tol or t <= tol and cmp(x, cuts[j]) < 0
 
+    shift = dict(zip(LETTERS, coder.shift))
+    moves = ({**shift, " ": (0, 0)}, {a: (-s0, -s1) for a, (s0, s1) in shift.items()})
     for n, back in ((window, False), (window - 1, True)):
         text, _ = coder.letters(n, back=back)
         starts = sub.block_starts(text, back)
         if starts is None:
             return False
-        for k, x in enumerate(coder.points(text, back=back)):
-            v = x[0] / L + x[1] / L * ef
-            in_j = not below(x, v, 0) and below(x, v, 3)
-            if in_j != (k in starts):
+        # T^k(0), the point of u_k, is reached by the moves of u_0 ... u_k-1,
+        # and T^-k-1(0), that of u_-k-1, by those of u_-1 ... u_-k-1
+        taken = text if back else " " + text[:-1]  # " " moves by 0
+        keys = iter(starts)  # the block starts, in order: the points in J
+        x0 = x1 = 0
+        for k, (s0, s1) in enumerate(map(moves[back].__getitem__, taken)):
+            x0 += s0
+            x1 += s1
+            v = x0 / L + x1 / L * ef
+            if v < out_lo or v > out_hi:
+                continue
+            x = (x0, x1)
+            if below(x, v, 0) or not below(x, v, 3):  # not in J
+                continue
+            if k != next(keys, None):
                 return False
-            if in_j:
-                i = LETTERS.index(starts[k])
-                if below(x, v, i) or not below(x, v, i + 1):
-                    return False
+            i = LETTERS.index(starts[k])
+            if below(x, v, i) or not below(x, v, i + 1):
+                return False
+        if next(keys, n) < n:  # a block starts at a point outside J
+            return False
     return True
 
 
@@ -190,7 +208,7 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     pieces = [(a, b, s, 1, ()) for a, b, s in zip(ends, ends[1:], coder.shift)]  # I_i
     texts = list("CBA" if reduced else LETTERS)  # the letters of each piece
     for lo, hi in windows:
-        pieces = _induce(fr.cmp, pieces, lo, hi, texts)
+        pieces = _induce(fr, pieces, lo, hi, texts)
         if sum(p[3] for p in pieces) > STEP_BUDGET:
             raise StepBudgetExceeded(f"the images for lambda = {lam} exceed {STEP_BUDGET} letters")
         texts = ["".join(texts[i] for i in p[4]) for p in pieces]

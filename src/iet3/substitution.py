@@ -15,6 +15,7 @@ the blocks phi(u_m) aligned at 0; `verify_fixed_point` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate, takewhile
 from typing import Dict, List, Optional, Tuple
 
 from .errors import UnknownLetter
@@ -110,16 +111,16 @@ class Substitution:
         mirrored images, and a block starts at its last letter read.
         """
         images = {a: w[::-1] for a, w in self.images.items()} if back else self.images
-        starts, pos = {}, 0
-        for letter in word:
-            if pos >= len(word):
-                break
-            img = images[letter]
-            if word[pos:pos + len(img)] != img[:len(word) - pos]:
-                return None
-            starts[pos + len(img) - 1 if back else pos] = letter
-            pos += len(img)
-        return starts
+        n = len(word)
+        # the ends of the blocks that start inside `word`, but the last
+        ends = list(takewhile(n.__gt__, accumulate(map(len, map(images.__getitem__, word)))))
+        letters = word[:len(ends) + 1]
+        blocks = "".join(map(images.__getitem__, letters))
+        if not blocks.startswith(word):
+            return None
+        if back:
+            return dict(zip([e - 1 for e in ends] + [len(blocks) - 1], letters))
+        return dict(zip([0] + ends, letters))
 
     def verify_fixed_point(self, spec, radius: int) -> bool:
         """Is the orbit word of `spec` the fixed point of phi aligned at 0?

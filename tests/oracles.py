@@ -1,7 +1,8 @@
 """References that only the tests read: the orbit as a stream of points,
 Sturmian words by integer rounding, the ancestor criterion of the paper's
-lemma, and the exact spectrum of an incidence matrix.  The library's
-decision and its proof need none of them.
+lemma, the exact spectrum of an incidence matrix, the nested induction
+with every comparison exact, and the block cut letter by letter.  The
+library's decision and its proof need none of them.
 """
 
 from functools import reduce
@@ -112,3 +113,54 @@ def eigenvalues(sub, field):
         root = sqrt_in_field(field, disc)  # raises if outside the field
         roots += [(root - p) / 2, (-root - p) / 2]
     return roots
+
+
+def exact_induce(cmp, pieces, lo, hi, texts):
+    """`iet._induce` with every comparison decided by `cmp`, the exact
+    `Frame.cmp`, and the piece of a point found by a scan of the ends."""
+    out, todo = [], [(lo, hi, (0, 0), 0, ())]
+    while todo:
+        x, y, t, n, word = todo.pop()
+        while True:
+            u, v = (x[0] + t[0], x[1] + t[1]), (y[0] + t[0], y[1] + t[1])
+            if word and cmp(u, hi) < 0 and cmp(v, lo) > 0:  # [u, v) meets the window
+                if cmp(u, lo) < 0:
+                    cut = lo
+                elif cmp(v, hi) > 0:
+                    cut = hi
+                else:
+                    break
+            else:
+                for j, (_, cut, s, k, _) in enumerate(pieces):
+                    if cmp(u, cut) < 0:
+                        break
+                else:
+                    raise AssertionError("a part left the window of the pieces")
+                if cmp(v, cut) <= 0:
+                    t, n, word = (t[0] + s[0], t[1] + s[1]), n + k, word + (j,)
+                    continue
+            m = (cut[0] - t[0], cut[1] - t[1])
+            todo.append((m, y, t, n, word))
+            y = m
+        if out and out[-1][2:4] == (t, n) and (out[-1][4] == word or "".join(
+                texts[i] for i in out[-1][4]) == "".join(texts[i] for i in word)):
+            out[-1] = (out[-1][0], y, t, n, word)
+        else:
+            out.append((x, y, t, n, word))
+    return out
+
+
+def letterwise_block_starts(sub, word, back=False):
+    """`Substitution.block_starts` one letter of `word` at a time: each
+    block is compared with `word` as far as it reaches."""
+    images = {a: w[::-1] for a, w in sub.images.items()} if back else sub.images
+    starts, pos = {}, 0
+    for letter in word:
+        if pos >= len(word):
+            break
+        img = images[letter]
+        if word[pos:pos + len(img)] != img[:len(word) - pos]:
+            return None
+        starts[pos + len(img) - 1 if back else pos] = letter
+        pos += len(img)
+    return starts

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import iet3.cli
 import iet3.invariance
 from conftest import corpus
 from iet3 import Substitution, decide, make_field, parse_quadnum
@@ -332,6 +333,21 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: ") and needle in err
         assert "fixed_point" not in out
+
+    @pytest.mark.parametrize("argv, name", [
+        (["generate", *WORKED, "--from=0", "--to=100000000000"], "code_orbit"),
+        (["complexity", *WORKED, "--radius", "100000000000"], "orbit_window"),
+    ], ids=["generate", "complexity"])
+    def test_out_of_memory_exits_two(self, monkeypatch, capsys, argv, name):
+        """A window too large to hold is reported as an error line with
+        exit 2, not a MemoryError traceback."""
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(iet3.cli, name, exhausted)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "too large" in err
+        assert "Traceback" not in err and out == ""
 
     def test_deeply_nested_report(self, tmp_path, capsys):
         """JSON nested past the decoder's recursion limit is bad input."""

@@ -9,12 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import iet3.iet
-from conftest import convergents
-from iet3 import (OrbitCoder, code_orbit, inverse_step, make_field, make_spec,
-                  non_degenerate, normalize, orbit_window, parse_quadnum, step)
+import iet3.invariance
+from conftest import convergents, corpus
+from iet3 import (OrbitCoder, SturmianSpec, code_orbit, decide, inverse_step, make_field,
+                  make_spec, non_degenerate, normalize, orbit_window, parse_quadnum, step,
+                  sturmian_images_match, sturmian_word)
 from iet3.errors import OutOfDomain, RationalSlope
 from iet3.quadunit import contraction
-from oracles import orbit_points
+from oracles import exact_induce, orbit_points
 
 F2 = make_field(1, 2, -1, 1)
 F3 = make_field(1, 2, -2, 1)  # e = sqrt3 - 1
@@ -200,6 +202,47 @@ class TestFloatFilter:
                     points = orbit_points(coder, coder.frame.pair(z), back)
                     got = ["ABC"[i] for _x, i in islice(points, 20)]
                     assert got == [letter for _z, letter in reference(sp, z, 20, back)]
+
+    def test_induce_matches_exact_oracle(self, monkeypatch):
+        """Every induction of `decide` on the corpus, of letters(10**4) both
+        ways, of the two Sturmian words of `sturmian_images_match`, of
+        letters(10**4) on the sqrt2 and sqrt5 specs with c moved by
+        10^-400/3, and of Sturmian words from intercepts within float error
+        of a crossing gives the pieces of the induction with every
+        comparison exact; and `Frame.cmp` decides some comparisons there."""
+        induce, counts = iet3.iet._induce, {"inductions": 0, "exact": 0}
+
+        def checked(frame, *args):
+            cmp = frame.cmp
+
+            def counted(p, q):
+                counts["exact"] += 1
+                return cmp(p, q)
+            frame.cmp = counted
+            try:
+                got = induce(frame, *args)
+            finally:
+                frame.cmp = cmp
+            assert got == exact_induce(cmp, *args)
+            counts["inductions"] += 1
+            return got
+        monkeypatch.setattr(iet3.iet, "_induce", checked)
+        monkeypatch.setattr(iet3.invariance, "_induce", checked)
+        specs = [sp for _label, sp in corpus()]
+        for sp in specs:
+            decide(sp)
+            sturmian_images_match(sp, 10**4)
+        tiny = Fraction(1, 3 * 10**400)
+        specs += [make_spec(f.eps(), parse_quadnum(l, f), parse_quadnum(c, f) - tiny)
+                  for f, l, c in ((F2, "1/2+1/2*e", "-1/2*e"), (F5, "1-1/2*e", "-1/3*e"))]
+        for sp in specs:
+            for back in (False, True):
+                OrbitCoder(sp).letters(10**4, back=back)
+        for f in (F2, F5):
+            a, b = convergents(f, 10**12)[-1]
+            for rounding in ("floor", "ceiling"):
+                sturmian_word(SturmianSpec(f.eps(), 1 - f.eps() + (b * f.eps() - a), rounding), 10**4)
+        assert counts["inductions"] > 1000 and counts["exact"] > 0
 
 
 class TestKernel:

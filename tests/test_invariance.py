@@ -250,7 +250,7 @@ class TestInduction:
         x = [(k * fr.L, 0) for k in range(5)]  # the pairs of 0, 1, ..., 4
         pieces = [(x[0], x[1], x[2], 1, ()), (x[1], x[2], x[2], 1, ()),
                   (x[2], x[4], (-x[2][0], 0), 1, ())]
-        out = iet3.invariance._induce(fr.cmp, pieces, x[0], x[2], texts)
+        out = iet3.invariance._induce(fr, pieces, x[0], x[2], texts)
         assert [p[:4] for p in out] == ([(x[0], x[2], (0, 0), 2)] if merged else
                                         [(x[0], x[1], (0, 0), 2), (x[1], x[2], (0, 0), 2)])
 

@@ -5,11 +5,11 @@ verification, and factor complexity."""
 import pytest
 
 from conftest import corpus
-from iet3 import (Substitution, complexity, count_factors, code_orbit, decide,
+from iet3 import (OrbitCoder, Substitution, complexity, count_factors, code_orbit, decide,
                   make_field, make_spec, parse_quadnum)
 from iet3.errors import NoSquareRoot, UnknownLetter
 from iet3.substitution import _matmul
-from oracles import eigenvalues
+from oracles import eigenvalues, letterwise_block_starts
 
 F2 = make_field(1, 2, -1, 1)
 WORKED = Substitution(("A", "B", "C"),
@@ -161,6 +161,43 @@ class TestFixedPoint:
         bwd = code_orbit(spec, -9, 0)[::-1]  # u_-1 ... u_-9
         assert WORKED.block_starts(bwd, back=True) == {3: "C", 8: "A"}
         assert WORKED.block_starts("C" + fwd[1:]) is None
+
+    @pytest.mark.parametrize("word, back, starts", [
+        ("", False, {}), ("", True, {}),
+        ("BBC", False, {0: "B"}),  # shorter than the first image
+        ("CAC", True, {3: "C"}),  # shorter than the first mirrored image
+        ("BBCBBCACBC", False, None),  # the last, partial block reads BB
+        ("CACBCACBBB", True, None),  # the last, partial block reads CACB
+        ("BBCBBCACBB", False, {0: "B", 8: "B"}),
+    ])
+    def test_block_starts_edges(self, word, back, starts):
+        assert WORKED.block_starts(word, back) == starts
+        assert letterwise_block_starts(WORKED, word, back) == starts
+
+    def test_block_starts_match_letterwise_on_corpus(self):
+        """The block cut agrees with the letter-by-letter loop on every
+        Invariant corpus witness and on the same witness with B's image
+        reversed, forward and backward, for orbit words cut at several
+        lengths: around the first image's end and inside later blocks."""
+        invariant = [rep for rep in (decide(sp) for _label, sp in corpus())
+                     if rep.verdict == "Invariant"]
+        assert len(invariant) == 59
+        rejected = 0
+        for rep in invariant:
+            sub = rep.substitution
+            wrong = Substitution(sub.alphabet, dict(sub.images, B=sub.images["B"][::-1]))
+            coder = OrbitCoder(rep.spec)
+            for back in (False, True):
+                text, _ = coder.letters(3000, back=back)
+                first = len(sub.images[text[0]])
+                for n in sorted({1, 2, first - 1, first, first + 1, 100, 1000, 3000}):
+                    word = text[:n]
+                    assert sub.block_starts(word, back) is not None
+                    for phi in (sub, wrong):
+                        got = phi.block_starts(word, back)
+                        assert got == letterwise_block_starts(phi, word, back), (n, back)
+                        rejected += got is None
+        assert rejected > 0
 
     def test_fibonacci_fixed_point(self):
         fib = Substitution(("0", "1"), {"0": "01", "1": "0"})
