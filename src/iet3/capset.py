@@ -45,7 +45,7 @@ class CapSetConfig:
     def validate(self):
         eps, eta, l = self.eps, self.eta, self.window_len
         zero, one = eps.field.zero(), eps.field.one()
-        if eps.b == 0 or eta.b == 0:
+        if eps.q == 0 or eta.q == 0:
             raise ValueError("eps and eta must be irrational")
         if not (zero < eps < one):
             raise ValueError(f"eps = {eps} not in (0, 1)")
@@ -144,8 +144,8 @@ def check_selfsimilarity(cfg: CapSetConfig, lam: QuadNum, count: int) -> bool:
         z = conj * star(cfg, p)
         if not z.in_z_eps():
             return False
-        # lam * (a + b*eta) has star image z = za + zb*e, i.e. pair (za, -zb)
-        scaled_pts.append((int(z.a), -int(z.b)))
+        # lam * (a + b*eta) has star image z = p + q*e, i.e. pair (p, -q)
+        scaled_pts.append((z.p, -z.q))
 
     # the scaled window is too short for the successor rule, so compare
     # against a direct lattice enumeration trimmed to the covered range

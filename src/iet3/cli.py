@@ -218,16 +218,19 @@ def _cmd_verify(args, out) -> int:
     sub = Substitution(("A", "B", "C"), _json_value(data, "substitution", dict))
     lam = parse_quadnum(_json_value(data, "lambda", str), spec.field)
     claims = [_json_value(data, key, kind) for key, kind in
-              (("verdict", str), ("s", int), ("return_times", list))]
+              (("verdict", str), ("s", int), ("return_times", list), ("checks", dict))]
+    ok_eig = sub.check_eigenvector(spec.eps, lam)
     try:
         ret, induced = return_substitution(spec, lam)
-        ok_fix = (ret.homothety_ok and induced.images == sub.images
-                  and lam == lemma_unit(spec.field) ** ret.levels
-                  # as JSON text, where true is not 1 and 5.0 is not 5
-                  and json.dumps(claims) == json.dumps(["Invariant", ret.levels, ret.return_times]))
+        proven = (ret.homothety_ok and induced.images == sub.images
+                  and lam == lemma_unit(spec.field) ** ret.levels)
+        checks = {"fixed_point": proven, "eigenvector": ok_eig,
+                  "homothety": ret.homothety_ok, "primitive": sub.is_primitive()}
+        # as JSON text, where true is not 1 and 5.0 is not 5
+        ok_fix = proven and json.dumps(claims, sort_keys=True) == json.dumps(
+            ["Invariant", ret.levels, ret.return_times, checks], sort_keys=True)
     except (InvalidUnit, StepBudgetExceeded):
         ok_fix = False  # lambda yields no return system to prove the fixed point with
-    ok_eig = sub.check_eigenvector(spec.eps, lam)
     print(f"fixed_point: {ok_fix}", file=out)
     print(f"eigenvector: {ok_eig}", file=out)
     return 0 if ok_fix and ok_eig else 1

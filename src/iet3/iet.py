@@ -20,8 +20,7 @@ exchanges), whose pieces read whole return words, or the base exchange
 for short reads.  Floats only filter the comparisons of `code` and
 `_induce`: a float margin inside the frame's error bound is decided by
 the exact `Frame.cmp`.  `OrbitCoder.letters` runs `read` forward or
-backward; `OrbitCoder.points` derives the orbit points from that text as
-running sums of the moves, so nothing else decides a letter.
+backward, so nothing else decides a letter.
 `code_orbit` is the word-level wrapper; `sturmian.sturmian_word` runs
 `read` on a rotation, and `invariance.return_substitution` runs `_induce`
 on the windows of its synthesis.
@@ -31,9 +30,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from math import inf
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .errors import OutOfDomain, RationalSlope
 from .qfield import FieldDesc, Frame, QuadNum
@@ -86,7 +85,7 @@ class IetSpec:
 
 def make_spec(eps: QuadNum, l: QuadNum, c: QuadNum, raw=None) -> IetSpec:
     """Validate the parameter constraints and build the spec."""
-    if eps.b == 0:
+    if eps.q == 0:
         raise RationalSlope(f"eps = {eps} is rational; the exchange is not minimal")
     zero, one = eps.field.zero(), eps.field.one()
     if not (zero < eps < one):
@@ -112,7 +111,7 @@ def normalize(alpha1: QuadNum, alpha2: QuadNum, alpha3: QuadNum, x0: QuadNum) ->
         raise OutOfDomain(f"x0 = {x0} outside [0, {total})")
     mu = alpha1 + 2 * alpha2 + alpha3
     eps = (alpha1 + alpha2) / mu
-    if eps.b == 0:
+    if eps.q == 0:
         raise RationalSlope(f"eps = {eps} is rational; the exchange is not minimal")
     return make_spec(eps, total / mu, -x0 / mu, raw=(alpha1, alpha2, alpha3, x0))
 
@@ -314,22 +313,6 @@ def read(frame: Frame, start, n: int, ends, moves, names: str, contract):
     return code(frame, start, n, ends, moves, words, shift)
 
 
-def _add(p, q):
-    return (p[0] + q[0], p[1] + q[1])
-
-
-def spec_pairs(one, eps, c, l):
-    """The pairs of the cuts (c, d1, d2, c+l) and of the shifts of A, B, C,
-    given the pairs of 1, eps, c and l.  Each is an integer combination of
-    those four, so given the pairs of lam' * (1, eps, c, l) it returns the
-    cuts and shifts scaled by lam'."""
-    (u0, u1), (e0, e1), (c0, c1), (l0, l1) = one, eps, c, l
-    end = (c0 + l0, c1 + l1)
-    cuts = ((c0, c1), (end[0] - u0 + e0, end[1] - u1 + e1), (c0 + e0, c1 + e1), end)
-    shifts = ((u0 - e0, u1 - e1), (u0 - 2 * e0, u1 - 2 * e1), (-e0, -e1))
-    return cuts, shifts
-
-
 class OrbitCoder:
     """Exact orbit coding on the integer pairs of a `Frame`.
 
@@ -337,23 +320,21 @@ class OrbitCoder:
     compare orbit points with.  `letters` codes the orbit with `read`, on
     the exchange with cuts d1, d2 (forward) or c+l-eps, c+1-eps (backward,
     where the images tile the domain as T(I3), T(I2), T(I1)), or on its
-    first return map to a window around the start point.  Everything else
-    reads its text: `points` rebuilds the orbit points as running sums of
-    the moves.
+    first return map to a window around the start point.
     """
 
     def __init__(self, spec: IetSpec, extra: Iterable[QuadNum] = ()):
         self.frame = fr = Frame(spec.field, [spec.c, spec.l, spec.eps, *extra])
+        self.c, self.d1, self.d2, self.end = map(fr.pair, (spec.c, spec.d1, spec.d2, spec.end))
         # forward shifts for letters A, B, C: 1 - eps, 1 - 2*eps, -eps
-        (self.c, self.d1, self.d2, self.end), self.shift = spec_pairs(
-            (fr.L, 0), fr.pair(spec.eps), fr.pair(spec.c), fr.pair(spec.l))
+        shifts = spec.shifts()
+        self.shift = tuple(map(fr.pair, shifts))
         # the backward cuts c+l-eps and c+1-eps
-        self.b1, self.b2 = _add(self.end, self.shift[2]), _add(self.c, self.shift[0])
+        b1, b2 = fr.pair(spec.end + shifts[2]), fr.pair(spec.c + shifts[0])
         back = tuple((-s[0], -s[1]) for s in self.shift)
-        self._moves = (dict(zip(LETTERS, self.shift)), dict(zip(LETTERS, back)))
         # read's arguments: backward, T^-1 reads C below b1, B below b2, else A
         self._read = (((self.c, self.d1, self.d2, self.end), self.shift, LETTERS),
-                      ((self.c, self.b1, self.b2, self.end), back[::-1], "CBA"))
+                      ((self.c, b1, b2, self.end), back[::-1], "CBA"))
         self._contract = contraction(spec.field)
 
     def letters(self, n: int, start=(0, 0), back: bool = False) -> Tuple[str, Tuple[int, int]]:
@@ -367,12 +348,6 @@ class OrbitCoder:
         if cmp(start, self.c) < 0 or cmp(start, self.end) >= 0:
             raise OutOfDomain(f"{self.frame.point(start)} not in [c, c+l)")
         return read(self.frame, start, n, *self._read[back], self._contract)
-
-    def points(self, text: str, start=(0, 0), back: bool = False) -> List[Tuple[int, int]]:
-        """The orbit point of each letter of `text`, read from `start` as
-        `letters` reads it: T^k(start) for u_k, or T^-k-1(start) for u_-k-1."""
-        pts = list(accumulate((self._moves[back][a] for a in text), _add, initial=start))
-        return pts[1:] if back else pts[:-1]
 
     def _chunks(self, start, back):
         """(first point, text) of `letters` read on from `start`, in chunks

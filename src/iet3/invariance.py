@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Optional, Tuple
 
 from .errors import InvalidUnit, NotApplicable, StepBudgetExceeded, WitnessRejected
-from .iet import LETTERS, IetSpec, OrbitCoder, _induce, make_spec, spec_pairs
+from .iet import LETTERS, IetSpec, OrbitCoder, _induce, make_spec
 from .qfield import QuadNum, denominator
 from .quadunit import ScalingUnit, class_fixing_power, integer_matrix, lemma_unit
 from .substitution import Substitution
@@ -83,7 +83,7 @@ class DecisionReport:
 
 def is_sturm(eps: QuadNum) -> bool:
     """eps in (0, 1) and its conjugate outside (0, 1)."""
-    if eps.b == 0:
+    if eps.q == 0:
         return False
     zero, one = eps.field.zero(), eps.field.one()
     conj = eps.conjugate()
@@ -102,12 +102,12 @@ def reduce_by_reversal(spec: IetSpec) -> IetSpec:
 
 
 def _scaled_coder(spec: IetSpec, conj: QuadNum):
-    """An `OrbitCoder` whose frame also holds lam' * (1, eps, c, l), with
-    the pairs of lam' * (c, d1, d2, c+l) and of lam' * shift_i."""
-    basis = [conj, conj * spec.eps, conj * spec.c, conj * spec.l]
-    coder = OrbitCoder(spec, basis)
-    cuts, moves = spec_pairs(*(coder.frame.pair(x) for x in basis))
-    return coder, cuts, moves
+    """An `OrbitCoder` whose frame also holds lam' * (c, d1, d2, c+l) and
+    lam' * shift_i, with the pairs of those two lists."""
+    cuts = [conj * x for x in (spec.c, spec.d1, spec.d2, spec.end)]
+    moves = [conj * s for s in spec.shifts()]
+    coder = OrbitCoder(spec, cuts + moves)
+    return coder, list(map(coder.frame.pair, cuts)), list(map(coder.frame.pair, moves))
 
 
 def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,

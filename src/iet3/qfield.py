@@ -2,17 +2,18 @@
 
 A field is described by the minimal equation A*x^2 + B*x + C = 0 of its
 generator e, together with a branch flag selecting the root
-e = (-B + branch*sqrt(D))/(2A), D = B^2 - 4AC.  Numbers are stored as
-exact rational coordinates (a, b) in the basis {1, e}; this makes
-membership in Z[e] = Z + eZ a coordinate check and keeps Galois
-conjugation closed-form:  e' = -B/A - e, so  (a + b e)' = (a - bB/A) - b e.
+e = (-B + branch*sqrt(D))/(2A), D = B^2 - 4AC.  A number (p + q*e)/d is
+stored as integers with d > 0 and gcd(p, q, d) = 1, so equal numbers have
+equal fields, Z[e] = Z + eZ is d = 1, and a = p/d, b = q/d are views.
+Ring operations are integer formulas with A*e^2 = -B*e - C; conjugation
+is closed-form: e' = -B/A - e, so (p + q*e)' = (A*p - B*q - A*q*e)/A.
 
 All ordering decisions reduce to the exact sign of an integer expression
-P + Q*sqrt(D), written once in `_sign_diff`.  `QuadNum.sign` calls it
-after clearing denominators; loops call it through a `Frame`, which keeps
-numbers as integer pairs.  A `Frame` also gives a float filter: the loops
-compare float images of their pairs and call `Frame.cmp` only when the
-float margin is within the proven error bound `Frame.tol`, so a float
+P + Q*sqrt(D), written once in `_sign_diff`.  `QuadNum` calls it on its
+integers; loops call it through a `Frame`, which keeps numbers as integer
+pairs over one denominator.  A `Frame` also gives a float filter: the
+loops compare float images of their pairs and call `Frame.cmp` only when
+the float margin is within the proven error bound `Frame.tol`, so a float
 never decides a case the bound cannot settle.
 """
 
@@ -59,13 +60,8 @@ def sign_of_surd(P: int, Q: int, D: int) -> int:
         return 1
     if P < 0 and Q < 0:
         return -1
-    # P and Q have opposite signs: compare |P| and |Q|*sqrt(D) exactly.
-    lhs, rhs = P * P, Q * Q * D
-    if lhs == rhs:
-        # would mean sqrt(D) rational
-        return 0
-    bigger_is_P = lhs > rhs
-    if bigger_is_P:
+    # P and Q have opposite signs, and P^2 != Q^2*D as sqrt(D) is irrational
+    if P * P > Q * Q * D:
         return 1 if P > 0 else -1
     return 1 if Q > 0 else -1
 
@@ -88,25 +84,23 @@ class FieldDesc:
         """(2A, B, branch, D), the constants of `_sign_diff`."""
         return (2 * self.A, self.B, self.branch, self.disc)
 
-    @cached_property
-    def _ratios(self) -> Tuple[Fraction, Fraction]:
-        """(B/A, C/A), so that e^2 = -(B/A)*e - C/A."""
-        return (Fraction(self.B, self.A), Fraction(self.C, self.A))
-
     def zero(self) -> "QuadNum":
-        return QuadNum(Fraction(0), Fraction(0), self)
+        return QuadNum(0, 0, 1, self)
 
     def one(self) -> "QuadNum":
-        return QuadNum(Fraction(1), Fraction(0), self)
+        return QuadNum(1, 0, 1, self)
 
     def eps(self) -> "QuadNum":
-        return QuadNum(Fraction(0), Fraction(1), self)
+        return QuadNum(0, 1, 1, self)
 
     def rational(self, value) -> "QuadNum":
-        return QuadNum(Fraction(value), Fraction(0), self)
+        return self.num(value)
 
     def num(self, a, b=0) -> "QuadNum":
-        return QuadNum(Fraction(a), Fraction(b), self)
+        """a + b*e for rationals a, b (anything `Fraction` accepts)."""
+        a, b = Fraction(a), Fraction(b)
+        return QuadNum(a.numerator * b.denominator, b.numerator * a.denominator,
+                       a.denominator * b.denominator, self)
 
     def __repr__(self):
         sgn = "+" if self.branch > 0 else "-"
@@ -145,18 +139,29 @@ def _sign_diff(k: Tuple[int, int, int, int], p: Tuple[int, int],
     return sign_of_surd(A2 * a - B * b, branch * b, D)
 
 
-@dataclass(frozen=True)
 class QuadNum:
-    """Element a + b*e of a real quadratic field, with exact rationals a, b."""
+    """Immutable element (p + q*e)/d of a real quadratic field; the
+    constructor divides out gcd(p, q, d) and makes d > 0."""
 
-    a: Fraction
-    b: Fraction
-    field: FieldDesc
+    __slots__ = ("p", "q", "d", "field")
 
-    # -- construction helpers -------------------------------------------------
+    def __init__(self, p: int, q: int, d: int, field: FieldDesc):
+        if d == 0:
+            raise ZeroDivisionError("division by zero QuadNum")
+        g = math.gcd(p, q, d) if d > 0 else -math.gcd(p, q, d)
+        _set = object.__setattr__
+        _set(self, "p", p // g)
+        _set(self, "q", q // g)
+        _set(self, "d", d // g)
+        _set(self, "field", field)
 
-    def _wrap(self, a: Fraction, b: Fraction) -> "QuadNum":
-        return QuadNum(a, b, self.field)
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"QuadNum is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    a = property(lambda self: Fraction(self.p, self.d), doc="p/d, the rational coordinate of 1")
+    b = property(lambda self: Fraction(self.q, self.d), doc="q/d, the rational coordinate of e")
 
     def _coerce(self, other) -> "QuadNum":
         if isinstance(other, QuadNum):
@@ -164,7 +169,7 @@ class QuadNum:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, (int, Fraction)):
-            return self._wrap(Fraction(other), Fraction(0))
+            return QuadNum(other.numerator, 0, other.denominator, self.field)
         return NotImplemented
 
     # -- ring operations ------------------------------------------------------
@@ -173,18 +178,20 @@ class QuadNum:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._wrap(self.a + o.a, self.b + o.b)
+        return QuadNum(self.p * o.d + o.p * self.d, self.q * o.d + o.q * self.d,
+                       self.d * o.d, self.field)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(-self.a, -self.b)
+        return QuadNum(-self.p, -self.q, self.d, self.field)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._wrap(self.a - o.a, self.b - o.b)
+        return QuadNum(self.p * o.d - o.p * self.d, self.q * o.d - o.q * self.d,
+                       self.d * o.d, self.field)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -193,21 +200,20 @@ class QuadNum:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        ba, ca = self.field._ratios
-        # reduce e^2 = -(B/A) e - C/A
-        cross = self.b * o.b
-        a = self.a * o.a - cross * ca
-        b = self.a * o.b + self.b * o.a - cross * ba
-        return self._wrap(a, b)
+        f = self.field
+        # (p + q e)(r + s e), with A e^2 = -B e - C
+        cross = self.q * o.q
+        return QuadNum(f.A * self.p * o.p - f.C * cross,
+                       f.A * (self.p * o.q + self.q * o.p) - f.B * cross,
+                       f.A * self.d * o.d, f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNum":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero QuadNum")
-        c = self.conjugate()
-        return self._wrap(c.a / n, c.b / n)
+        """x'/(x*x') = (A*p - B*q - A*q*e)*d/n, n = A*p^2 - B*p*q + C*q^2."""
+        f, p, q = self.field, self.p, self.q
+        n = f.A * p * p - f.B * p * q + f.C * q * q
+        return QuadNum((f.A * p - f.B * q) * self.d, -f.A * q * self.d, n, f)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -221,8 +227,7 @@ class QuadNum:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
+        result, base = self.field.one(), self
         while n:
             if n & 1:
                 result = result * base
@@ -234,27 +239,27 @@ class QuadNum:
 
     def conjugate(self) -> "QuadNum":
         """Image under sqrt(D) -> -sqrt(D), re-expressed in the {1, e} basis."""
-        return self._wrap(self.a - self.b * self.field._ratios[0], -self.b)
+        f = self.field
+        return QuadNum(f.A * self.p - f.B * self.q, -f.A * self.q, f.A * self.d, f)
 
     def norm(self) -> Fraction:
         """x * x' as a rational."""
-        ba, ca = self.field._ratios
-        return self.a * self.a - self.a * self.b * ba + self.b * self.b * ca
+        f, p, q = self.field, self.p, self.q
+        return Fraction(f.A * p * p - f.B * p * q + f.C * q * q, f.A * self.d * self.d)
 
     # -- exact ordering -------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of the real value a + b*e; -1, 0 or +1."""
-        a, b = self.a, self.b
-        d = math.lcm(a.denominator, b.denominator)
-        p = (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
-        return _sign_diff(self.field._surd, p, (0, 0))
+        """Exact sign of the real value (p + q*e)/d; -1, 0 or +1."""
+        return _sign_diff(self.field._surd, (self.p, self.q), (0, 0))
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
         if o is NotImplemented:
             raise TypeError(f"cannot compare QuadNum with {type(other).__name__}")
-        return (self - o).sign()
+        # both denominators are positive, so cross-multiplying keeps the sign
+        return _sign_diff(self.field._surd, (self.p * o.d, self.q * o.d),
+                          (o.p * self.d, o.q * self.d))
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -270,17 +275,16 @@ class QuadNum:
 
     def __eq__(self, other):
         if isinstance(other, QuadNum):
-            return (
-                self.field == other.field and self.a == other.a and self.b == other.b
-            )
+            return (self.p == other.p and self.q == other.q and self.d == other.d
+                    and self.field == other.field)
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return self.q == 0 and self.p == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:  # equal to the rational a, so hash like it
+        if self.q == 0:  # equal to the rational a, so hash like it
             return hash(self.a)
-        return hash((self.a, self.b, self.field))
+        return hash((self.p, self.q, self.d, self.field))
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -289,26 +293,18 @@ class QuadNum:
 
     def in_z_eps(self) -> bool:
         """True iff the number lies in Z[e] = Z + eZ."""
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return self.d == 1
 
     # -- numeric views --------------------------------------------------------
 
-    def _approx(self) -> Fraction:
-        """Rational approximation within 1 of the true value."""
-        f = self.field
-        scale = 1 << (abs(self.b.numerator).bit_length() + 64)
-        sq = math.isqrt(f.disc * scale * scale)  # floor(scale*sqrt(D))
-        eps = Fraction(-f.B * scale + f.branch * sq, 2 * f.A * scale)
-        return self.a + self.b * eps
-
     def floor(self) -> int:
-        """Exact floor of the real value."""
-        n = math.floor(self._approx())
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        while self._cmp(n) < 0:
-            n -= 1
-        return n
+        """Exact floor of the real value (P + Q*sqrt(D))/(2A*d), P = 2A*p - B*q
+        and Q = branch*q: as Q*sqrt(D) is 0 or irrational, it is the floor of
+        (P + floor(Q*sqrt(D)))/(2A*d), with floor(Q*sqrt(D)) from isqrt."""
+        A2, B, branch, D = self.field._surd
+        Q = branch * self.q
+        r = math.isqrt(Q * Q * D)
+        return (A2 * self.p - B * self.q + (r if Q >= 0 else -r - 1)) // (A2 * self.d)
 
     def frac(self) -> "QuadNum":
         return self - self.floor()
@@ -326,13 +322,14 @@ class QuadNum:
     # -- printing -------------------------------------------------------------
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        bterm = f"{abs(self.b)}*e" if abs(self.b) != 1 else "e"
-        if self.a == 0:
-            return bterm if self.b > 0 else f"-{bterm}"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a} {op} {bterm}"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        bterm = f"{abs(b)}*e" if abs(b) != 1 else "e"
+        if a == 0:
+            return bterm if b > 0 else f"-{bterm}"
+        op = "+" if b > 0 else "-"
+        return f"{a} {op} {bterm}"
 
     def __repr__(self):
         return f"QuadNum({self})"
@@ -344,26 +341,27 @@ class Frame:
     is the exact sign of p - q: -1, 0 or +1 as p <, = or > q.
 
     Float filter.  `approx(p)` = p0/L + (p1/L)*ef is the float image of a
-    pair, with `ef` = float(e._approx()); loops inline this expression.
+    pair, with `ef` a float of e; loops inline this expression.
     Dividing first keeps the floats near the real values, so pairs of any
     size convert.  `size(p)` = |p0|/L + |p1|/L * E with
     E = |ef|*(1 + 2^-50) + 2^-11, and `tol(s)` bounds the float error of a
     margin built from approx values whose sizes sum to at most s.
 
-    Derivation, with u = 2^-53.  `_approx` is within 2^-66 of e and its
-    float is correctly rounded, so |ef - e| <= u|e| + 2^-65; hence |e| <= E
-    and u|e| + 2^-65 <= u*E.  In approx(p) the two divisions, the product
-    and the sum each round with relative error at most u, so with a = p0/L
-    and b = p1/L the error of the product is at most |b|*E*u*((1+u)^2 + 2
-    + u) <= 3.01u|b|E, the final sum is at most 1.01*size(p) in magnitude,
-    and |approx(p) - (a + b*e)| <= u|a| + 3.01u|b|E + 1.01u*size(p)
-    <= 4.1u*size(p).  A margin adds or subtracts at most three approx
-    values in at most two more roundings, each of a value below 1.01*s,
-    so its error is below (4.1 + 2.03)u*s < 8u*s; computing `size` in
-    floats moves s by a few u.  `tol` keeps a safety factor of 8 on that:
-    tol(s) = 64u*s = 2^-47*s, plus 2^-1000 for results that underflow.
-    So a margin t > tol(s) or t < -tol(s) has the sign of the exact
-    difference, and `cmp` decides every other case.
+    Derivation, with u = 2^-53.  `ef` is the correctly rounded float of
+    r = (-B*2^65 + branch*isqrt(D*4^65))/(A*2^66), and |r - e| <= 2^-66,
+    so |ef - e| <= u|e| + 2^-65; hence |e| <= E and u|e| + 2^-65 <= u*E.
+    In approx(p) the two divisions, the product and the sum each round
+    with relative error at most u, so with a = p0/L and b = p1/L the error
+    of the product is at most |b|*E*u*((1+u)^2 + 2 + u) <= 3.01u|b|E, the
+    final sum is at most 1.01*size(p) in magnitude, and |approx(p) -
+    (a + b*e)| <= u|a| + 3.01u|b|E + 1.01u*size(p) <= 4.1u*size(p).  A
+    margin adds or subtracts at most three approx values in at most two
+    more roundings, each of a value below 1.01*s, so its error is below
+    (4.1 + 2.03)u*s < 8u*s; computing `size` in floats moves s by a few u.
+    `tol` keeps a safety factor of 8 on that: tol(s) = 64u*s = 2^-47*s,
+    plus 2^-1000 for results that underflow.  So a margin t > tol(s) or
+    t < -tol(s) has the sign of the exact difference, and `cmp` decides
+    every other case.
     """
 
     __slots__ = ("field", "L", "cmp", "ef", "_e_size")
@@ -373,17 +371,17 @@ class Frame:
         self.L = denominator(xs)
         # bound once so that a comparison in a loop is a single Python call
         self.cmp = partial(_sign_diff, field._surd)
-        self.ef = float(field.eps()._approx())
+        self.ef = (-field.B * 2**65 + field.branch * math.isqrt(field.disc << 130)) / (field.A << 66)
         self._e_size = abs(self.ef) * (1 + 2.0**-50) + 2.0**-11
 
     def pair(self, x: QuadNum) -> Tuple[int, int]:
-        a, b = self.L * x.a, self.L * x.b
-        if a.denominator != 1 or b.denominator != 1:
+        k, r = divmod(self.L, x.d)
+        if r:
             raise NotInLattice(f"{self.L}*({x}) is not in Z[e]")
-        return (a.numerator, b.numerator)
+        return (k * x.p, k * x.q)
 
     def point(self, p: Tuple[int, int]) -> QuadNum:
-        return QuadNum(Fraction(p[0], self.L), Fraction(p[1], self.L), self.field)
+        return QuadNum(p[0], p[1], self.L, self.field)
 
     def sign(self, p: Tuple[int, int]) -> int:
         """Exact sign of the number with pair p."""
@@ -413,13 +411,14 @@ def sqrt_in_field(field: FieldDesc, n: int) -> QuadNum:
         raise NoSquareRoot("negative argument")
     if _is_square(n):
         return field.rational(math.isqrt(n))
-    b2 = Fraction(4 * field.A * field.A * n, field.disc)
-    num, den = b2.numerator, b2.denominator
+    A = field.A
+    g = math.gcd(4 * A * A * n, field.disc)
+    num, den = 4 * A * A * n // g, field.disc // g
     if not (_is_square(num) and _is_square(den)):
         raise NoSquareRoot(f"sqrt({n}) is not in {field}")
-    b = Fraction(math.isqrt(num), math.isqrt(den))
-    a = b * Fraction(field.B, 2 * field.A)
-    x = QuadNum(a, b, field)
+    # b = s/t and a = b*B/(2A), so the root is s*(B + 2A*e)/(2A*t)
+    s, t = math.isqrt(num), math.isqrt(den)
+    x = QuadNum(s * field.B, 2 * A * s, 2 * A * t, field)
     return x if x.sign() > 0 else -x
 
 
@@ -428,15 +427,16 @@ def denominator(xs) -> int:
     xs = list(xs)
     if not xs:
         raise ValueError("empty list")
-    return math.lcm(*(d for x in xs for d in (x.a.denominator, x.b.denominator)))
+    # k*(p + q*e)/d is in Z[e] iff d divides k, as gcd(p, q, d) = 1
+    return math.lcm(*(x.d for x in xs))
 
 
 def class_of(x: QuadNum, q: int):
     """Residue class (i, j) of x in (1/q)Z[e] / Z[e], 0 <= i, j < q."""
-    qa, qb = q * x.a, q * x.b
-    if qa.denominator != 1 or qb.denominator != 1:
+    k, r = divmod(q, x.d)
+    if r:
         raise NotInLattice(f"{q}*({x}) is not in Z[e]")
-    return (int(qa) % q, int(qb) % q)
+    return (k * x.p % q, k * x.q % q)
 
 
 # -- parsing ------------------------------------------------------------------

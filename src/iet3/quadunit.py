@@ -28,10 +28,9 @@ def integer_matrix(x: QuadNum):
     not map Z[e] into itself.
     """
     xe = x * x.field.eps()
-    m = [[x.a, xe.a], [x.b, xe.b]]
-    if any(v.denominator != 1 for row in m for v in row):
+    if not (x.in_z_eps() and xe.in_z_eps()):
         raise InvalidUnit(f"{x} does not preserve Z[e]")
-    return [[int(v) for v in row] for row in m]
+    return [[x.p, xe.p], [x.q, xe.q]]
 
 
 @dataclass(frozen=True)

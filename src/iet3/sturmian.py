@@ -47,7 +47,7 @@ class SturmianSpec:
     rounding: str = "floor"  # or "ceiling"
 
     def __post_init__(self):
-        if self.alpha.b == 0:
+        if self.alpha.q == 0:
             raise ValueError("slope must be irrational")
         if not (self.alpha.field.zero() < self.alpha < self.alpha.field.one()):
             raise ValueError(f"slope {self.alpha} not in (0, 1)")

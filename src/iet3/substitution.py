@@ -92,13 +92,7 @@ class Substitution:
         one = eps.field.one()
         v = (one - eps, one - 2 * eps, -eps)
         conj = lam.conjugate()
-        for row, x in zip(self._rows, v):
-            # the coordinates of row . v, as integer combinations of v's
-            lhs = (sum(k * y.a for k, y in zip(row, v)), sum(k * y.b for k, y in zip(row, v)))
-            rhs = conj * x
-            if lhs != (rhs.a, rhs.b):
-                return False
-        return True
+        return all(sum(k * y for k, y in zip(row, v)) == conj * x for row, x in zip(self._rows, v))
 
     # -- fixed point ----------------------------------------------------------
 

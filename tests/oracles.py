@@ -1,4 +1,5 @@
-"""References that only the tests read: the orbit as a stream of points,
+"""References that only the tests read: the orbit points of a coder's
+text and the orbit as a stream of points,
 Sturmian words by integer rounding, the ancestor criterion of the paper's
 lemma, the exact spectrum of an incidence matrix, the nested induction
 with every comparison exact, and the block cut letter by letter.  The
@@ -6,6 +7,7 @@ library's decision and its proof need none of them.
 """
 
 from functools import reduce
+from itertools import accumulate
 from math import isqrt, lcm
 
 from iet3 import OrbitCoder, step
@@ -15,6 +17,17 @@ from iet3.qfield import sqrt_in_field
 STEP_BUDGET = 10**6  # cap on the steps of an ancestor search
 
 
+def points(coder, text, start=(0, 0), back=False):
+    """The orbit point of each letter of `text`, read from `start` as
+    `coder.letters` reads it: T^k(start) for u_k, or T^-k-1(start) for
+    u_-k-1, each the running sum of the letters' moves."""
+    sign = -1 if back else 1
+    moves = {a: (sign * s0, sign * s1) for a, (s0, s1) in zip("ABC", coder.shift)}
+    pts = list(accumulate((moves[a] for a in text), lambda p, m: (p[0] + m[0], p[1] + m[1]),
+                          initial=start))
+    return pts[1:] if back else pts[:-1]
+
+
 def orbit_points(coder, start=(0, 0), back=False):
     """(point, index of its letter) of the orbit of `start`, read in chunks
     of doubling length: T^n(start) for n = 0, 1, ..., or with back=True
@@ -22,7 +35,7 @@ def orbit_points(coder, start=(0, 0), back=False):
     n = 64
     while True:
         text, end = coder.letters(n, start, back)
-        yield from zip(coder.points(text, start, back), map("ABC".index, text))
+        yield from zip(points(coder, text, start, back), map("ABC".index, text))
         start, n = end, 2 * n
 
 

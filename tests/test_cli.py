@@ -19,6 +19,7 @@ NEGATIVE = ["--field", "1,2,-1,+", "--eps", "e", "--l", "1/2+1/2*e",
             "--c=-3/2+7/2*e"]
 # s = 4, return times (83881, 135721, 51841)
 SQRT5_NEG = ["--field", "1,1,-1,+", "--eps", "e", "--l", "1-1/2*e", "--c=-1/3"]
+CHECKS = ("fixed_point", "eigenvector", "homothety", "primitive")  # a report's checks
 
 
 def run(argv, capsys):
@@ -169,6 +170,36 @@ class TestVerify:
         assert code == 1
         assert out == "fixed_point: False\neigenvector: True\n"
         assert err == ""
+
+    @pytest.mark.parametrize("checks", [
+        dict.fromkeys(CHECKS, False),
+        {},
+        {**dict.fromkeys(CHECKS, True), "primitive": False},
+        {**dict.fromkeys(CHECKS, True), "homothety": 1},
+        {**dict.fromkeys(CHECKS, True), "verified": True},
+    ], ids=["all-false", "empty", "primitive-false", "homothety-one", "extra-key"])
+    def test_report_checks_rechecked(self, tmp_path, capsys, checks):
+        """The checks a report states must be the ones its witness passes."""
+        path = edited_report(tmp_path, capsys, WORKED, lambda data: {**data, "checks": checks})
+        code, out, err = run(["verify", "--report", path], capsys)
+        assert code == 1
+        assert out == "fixed_point: False\neigenvector: True\n"
+        assert err == ""
+
+    def test_report_checks_in_any_order(self, tmp_path, capsys):
+        def reverse(data):
+            return {**data, "checks": dict(reversed(data["checks"].items()))}
+        path = edited_report(tmp_path, capsys, WORKED, reverse)
+        code, out, _ = run(["verify", "--report", path], capsys)
+        assert (code, out) == (0, "fixed_point: True\neigenvector: True\n")
+
+    def test_report_without_checks_exits_two(self, tmp_path, capsys):
+        path = edited_report(tmp_path, capsys, WORKED,
+                             lambda data: {k: v for k, v in data.items() if k != "checks"})
+        code, out, err = run(["verify", "--report", path], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "missing key 'checks'" in err
+        assert "fixed_point" not in out
 
 
 class TestGenerate:

@@ -16,7 +16,7 @@ from iet3 import (OrbitCoder, SturmianSpec, code_orbit, decide, inverse_step, ma
                   sturmian_images_match, sturmian_word)
 from iet3.errors import OutOfDomain, RationalSlope
 from iet3.quadunit import contraction
-from oracles import exact_induce, orbit_points
+from oracles import exact_induce, orbit_points, points
 
 F2 = make_field(1, 2, -1, 1)
 F3 = make_field(1, 2, -2, 1)  # e = sqrt3 - 1
@@ -267,7 +267,7 @@ class TestKernel:
         assert text == "".join(letter for _z, letter in ref[back][:n])
         # the reference pairs u_k with T^k(0) forward, u_-k-1 with T^-k-1(0) backward
         assert coder.frame.point(end) == ref[back][n - 1 if back else n][0]
-        assert [coder.frame.point(x) for x in coder.points(text, back=back)] == \
+        assert [coder.frame.point(x) for x in points(coder, text, back=back)] == \
             [z for z, _letter in ref[back][:n]]
 
     @pytest.mark.parametrize("back", [False, True])

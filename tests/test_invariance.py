@@ -14,7 +14,7 @@ from iet3 import (OrbitCoder, check_block_starts, code_orbit, decide, is_sturm,
                   synthesize, ScalingUnit, Substitution)
 from iet3.invariance import return_substitution
 from iet3.errors import InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded, WitnessRejected
-from oracles import ancestor, check_lemma_ancestor
+from oracles import ancestor, check_lemma_ancestor, points
 from walk_oracle import StraddlesDiscontinuity, walk_interval, walk_substitution
 
 F2 = make_field(1, 2, -1, 1)
@@ -107,7 +107,7 @@ def exact_block_starts(spec, unit, sub, window):
         starts = sub.block_starts(text, back)
         if starts is None:
             return False
-        for k, x in enumerate(coder.points(text, back=back)):
+        for k, x in enumerate(points(coder, text, back=back)):
             in_j = cmp(x, cuts[0]) >= 0 and cmp(x, cuts[3]) < 0
             if in_j != (k in starts):
                 return False

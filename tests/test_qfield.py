@@ -4,7 +4,7 @@ and printing, floors, and lattice classes."""
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import floor, gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -189,8 +189,81 @@ class TestFrame:
                 assert "sign_of_surd(" not in text, path.name
                 # the float image of e and its error bound live in Frame
                 assert not re.search(r"_approx\b|math\.sqrt|\bfloat\(", text), path.name
+                # field elements are integers (p, q, d): only qfield meets Fraction
+                assert not re.search(r"\bfractions\b|\.(numerator|denominator)\b", text), path.name
             assert not re.search(r"\b(ipair|diff_sign)\b", text), path.name
             assert not re.search(r"\b(environ|getenv)\b", text), path.name
+
+
+
+# two numbers of one of the kernel fields, A = 8 among them
+kernel_num_pairs = st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: st.tuples(qnum(f), qnum(f)))
+
+
+def coords(x):
+    return (x.a, x.b)
+
+
+def normalized(x) -> bool:
+    return x.d > 0 and gcd(x.p, x.q, x.d) == 1
+
+
+class TestIntegerRepresentation:
+    """QuadNum stores (p + q*e)/d as normalized integers; its results must
+    match the formulas in rational coordinates a = p/d, b = q/d, in fields
+    with A > 1 too, where the integer formulas divide by A."""
+
+    @given(pair=kernel_num_pairs)
+    def test_ring_ops_match_rational_coordinates(self, pair):
+        x, y = pair
+        f = x.field
+        ba, ca = Fraction(f.B, f.A), Fraction(f.C, f.A)  # e^2 = -(B/A)*e - C/A
+        (a, b), (c, d) = coords(x), coords(y)
+        norm = a * a - a * b * ba + b * b * ca
+        assert coords(x * y) == (a * c - b * d * ca, a * d + b * c - b * d * ba)
+        assert coords(x.conjugate()) == (a - b * ba, -b)
+        assert x.norm() == norm
+        if x.sign() != 0:
+            assert coords(x.inverse()) == ((a - b * ba) / norm, -b / norm)
+        for z in (x + y, x - y, x * y, x.conjugate(), -x):
+            assert normalized(z)
+
+    @given(a=fractions)
+    def test_floor_of_rationals(self, a):
+        for f in KERNEL_FIELDS:
+            assert f.rational(a).floor() == floor(a)
+            assert f.rational(-a).floor() == floor(-a)
+
+    @pytest.mark.parametrize("f", KERNEL_FIELDS, ids=["F2", "F5", "A8", "F5-rev"])
+    def test_floor_near_integers(self, f):
+        """+-(b*e - a) for convergents a/b of e with b up to 10^12 lies
+        within 1/b of 0, and shifted by k its floor is k or k - 1 by its
+        sign; both signs of the surd term (the Q < 0 branch) occur."""
+        for a, b in convergents(f, 10**12):
+            for s in (1, -1):
+                x = f.num(-s * a, s * b)
+                below = bracket_sign(f, -s * a, s * b) < 0
+                for k in (-3, 0, 7):
+                    assert (x + k).floor() == k - below
+
+    @given(pair=kernel_num_pairs)
+    def test_equal_values_hash_equal(self, pair):
+        x, y = pair
+        routes = [(x + y) - y, parse_quadnum(str(x), x.field), x.field.num(x.a, x.b)]
+        if y.sign() != 0:
+            routes.append(x * y / y)
+        for z in routes:
+            assert z == x and hash(z) == hash(x)
+            assert (z.p, z.q, z.d) == (x.p, x.q, x.d)
+
+    def test_immutable(self):
+        x = F2.num(Fraction(1, 2), 3)
+        for name in ("p", "q", "d", "field", "a", "b", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert (x.p, x.q, x.d) == (1, 6, 2)
 
 
 def precise_value(frame, p) -> Fraction:
