@@ -184,6 +184,8 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     they are spelled; each of them occurs in some word of J's first return.
     For eps' > 1 the induction runs on the reversal-reduced spec (same J)
     with A and C swapped in its letters, and each image comes back reversed.
+    Each piece's letter counts are carried as integer sums over its index
+    word, so the `Substitution` is built on them without a scan.
     """
     conj = lam.conjugate()
     if not 0 < conj < 1:
@@ -207,18 +209,22 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     ends = (coder.c, coder.d1, coder.d2, coder.end)
     pieces = [(a, b, s, 1, ()) for a, b, s in zip(ends, ends[1:], coder.shift)]  # I_i
     texts = list("CBA" if reduced else LETTERS)  # the letters of each piece
+    counts = [tuple(int(a == b) for b in LETTERS) for a in texts]  # and their (n_A, n_B, n_C)
     for lo, hi in windows:
         pieces = _induce(fr, pieces, lo, hi, texts)
         if sum(p[3] for p in pieces) > STEP_BUDGET:
             raise StepBudgetExceeded(f"the images for lambda = {lam} exceed {STEP_BUDGET} letters")
         texts = ["".join(texts[i] for i in p[4]) for p in pieces]
+        # unpack a list: unpacking a generator made a long run's RSS creep up (CPython 3.11)
+        counts = [tuple(map(sum, zip(*[counts[i] for i in p[4]]))) for p in pieces]
     ok = [p[:3] for p in pieces] == [(cuts[i], cuts[i + 1], moves[i]) for i in range(3)]
     # without the homothety, phi(i) is the return word of the left end of lam' * I_i
-    names = tuple(next(t for p, t in zip(pieces, texts) if fr.cmp(x, p[1]) < 0) for x in cuts[:3])
-    ret = ReturnSystem(fr.point(cuts[0]), fr.point(cuts[3]), names, ok, len(windows))
+    picks = [next(k for k, p in enumerate(pieces) if fr.cmp(x, p[1]) < 0) for x in cuts[:3]]
+    names, rows = [texts[k] for k in picks], [counts[k] for k in picks]
+    ret = ReturnSystem(fr.point(cuts[0]), fr.point(cuts[3]), tuple(names), ok, len(windows))
     if reduced:  # phi(A), phi(B), phi(C) are the words of C, B, A reversed
-        names = [w[::-1] for w in reversed(names)]
-    return ret, Substitution(("A", "B", "C"), dict(zip("ABC", names)))
+        names, rows = [w[::-1] for w in reversed(names)], rows[::-1]
+    return ret, Substitution(("A", "B", "C"), dict(zip("ABC", names)), counts=rows)
 
 
 def synthesize(spec: IetSpec):

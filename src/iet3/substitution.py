@@ -5,7 +5,8 @@ Incidence convention: N[i][j] counts occurrences of letter j in the image
 of letter i (row per source letter).  Under this convention the column
 vector (1-eps, 1-2*eps, -eps) is a right eigenvector of N for the small
 conjugate of the scaling unit, which is the identity every synthesis
-result is checked against.
+result is checked against.  The rows are counted in the images at
+construction, or carried in by `power` and `invariance.return_substitution`.
 
 `Substitution.block_starts` is the one place that cuts an orbit word into
 the blocks phi(u_m) aligned at 0; `verify_fixed_point` and
@@ -14,9 +15,9 @@ the blocks phi(u_m) aligned at 0; `verify_fixed_point` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import KW_ONLY, InitVar, dataclass, field as dc_field
 from itertools import accumulate, takewhile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import UnknownLetter
 from .iet import OrbitCoder
@@ -29,30 +30,38 @@ __all__ = ["Substitution", "complexity", "count_factors"]
 class Substitution:
     """A morphism given by the image of each letter of `alphabet`.
 
-    Construction validates the images and counts their letters once; the
-    incidence rows are fixed then, so `images` must not be mutated.
+    Construction validates the images and fixes the incidence rows, so
+    `images` must not be mutated.  The rows are counted in the images, or
+    given as `counts` by a caller that knows them; given rows are checked
+    for shape and for summing to each image's length, not rescanned.
     """
 
     alphabet: Tuple[str, ...]
     images: Dict[str, str]
+    _: KW_ONLY
+    counts: InitVar[Optional[Sequence[Sequence[int]]]] = None
     _rows: Tuple[Tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        letters = set(self.alphabet)
-        # the positions of the letters a character can be, each letter once
-        chars = [k for k, a in enumerate(self.alphabet)
-                 if len(a) == 1 and self.alphabet.index(a) == k]
-        rows = []
-        for letter in self.alphabet:
-            img = self.images.get(letter)
+    def __post_init__(self, counts):
+        images = [self.images.get(a) for a in self.alphabet]
+        for letter, img in zip(self.alphabet, images):
             if not (img and isinstance(img, str)):
                 raise UnknownLetter(f"no (nonempty) string image for letter {letter!r}")
-            row = tuple(img.count(b) for b in self.alphabet)
-            if sum(row[k] for k in chars) != len(img):
-                bad = next(ch for ch in img if ch not in letters)
-                raise UnknownLetter(f"image letter {bad!r} not in alphabet")
-            rows.append(row)
-        object.__setattr__(self, "_rows", tuple(rows))
+        if counts is None:
+            counts = [tuple(img.count(b) for b in self.alphabet) for img in images]
+            # the positions of the letters a character can be, each letter once
+            chars = [k for k, a in enumerate(self.alphabet)
+                     if len(a) == 1 and self.alphabet.index(a) == k]
+            for img, row in zip(images, counts):
+                if sum(row[k] for k in chars) != len(img):
+                    bad = next(ch for ch in img if ch not in self.alphabet)
+                    raise UnknownLetter(f"image letter {bad!r} not in alphabet")
+        else:
+            k, counts = len(self.alphabet), [tuple(row) for row in counts]
+            if len(counts) != k or any(len(row) != k or sum(row) != len(img)
+                                       for row, img in zip(counts, images)):
+                raise ValueError(f"counts must be {k} rows of {k}, each summing to its image's length")
+        object.__setattr__(self, "_rows", tuple(counts))
 
     # -- word action ----------------------------------------------------------
 
@@ -63,10 +72,15 @@ class Substitution:
             raise UnknownLetter(f"letter {exc.args[0]!r} not in alphabet") from None
 
     def power(self, n: int) -> "Substitution":
-        images = {a: a for a in self.alphabet}
+        """phi^n, whose incidence N^n is an integer product when the letters
+        are distinct characters (a longer letter is counted as a factor)."""
+        images, k = {a: a for a in self.alphabet}, len(self.alphabet)
+        rows = [[int(i == j) for j in range(k)] for i in range(k)]
         for _ in range(n):
             images = {a: self(images[a]) for a in self.alphabet}
-        return Substitution(self.alphabet, images)
+            rows = _matmul(rows, self._rows)
+        simple = len(images) == k and all(len(a) == 1 for a in images)
+        return Substitution(self.alphabet, images, counts=rows if simple else None)
 
     # -- incidence matrix -----------------------------------------------------
 

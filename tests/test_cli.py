@@ -344,6 +344,9 @@ class TestErrors:
         (["verify", "--report", "{tmp}/r.json"], lambda d: dict(d, substitution=5), "'substitution'"),
         (["verify", "--report", "{tmp}/r.json"],
          lambda d: dict(d, substitution=dict(d["substitution"], B=5)), "letter 'B'"),
+        (["verify", "--report", "{tmp}/r.json"],
+         lambda d: dict(d, substitution=dict(d["substitution"], B=d["substitution"]["B"] + "X")),
+         "'X'"),
         (["verify", "--report", "{tmp}/r.json"], lambda d: {**d, "lambda": 5}, "'lambda'"),
         (["verify", "--report", "{tmp}/r.json"],
          lambda d: {k: v for k, v in d.items() if k != "lambda"}, "missing key 'lambda'"),
@@ -353,7 +356,7 @@ class TestErrors:
          lambda d: dict(d, field=dict(d["field"], A=True)), "'field'"),
         (["verify", "--report", "{tmp}/r.json"], lambda d: [d], "JSON object"),
     ], ids=["eps-1/0", "eps-nested", "field-branch", "output-dir",
-            "substitution-int", "image-int", "lambda-int", "lambda-missing",
+            "substitution-int", "image-int", "image-foreign", "lambda-int", "lambda-missing",
             "field-str", "field-short", "field-bool", "report-list"])
     def test_bad_input_exits_two(self, tmp_path, capsys, argv, edit, needle):
         """Bad input exits 2 with one error line and no traceback."""

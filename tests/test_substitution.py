@@ -88,6 +88,48 @@ class TestIncidence:
         assert WORKED.incidence() == [[1, 2, 2], [1, 4, 3], [1, 1, 2]]
 
 
+class TestGivenCounts:
+    """Rows passed as `counts` are checked for shape and length, not rescanned."""
+
+    ROWS = [[1, 2, 2], [1, 4, 3], [1, 1, 2]]
+
+    def test_rows_kept(self):
+        sub = Substitution(WORKED.alphabet, WORKED.images, counts=self.ROWS)
+        assert sub.incidence() == self.ROWS
+        assert sub == WORKED
+
+    @pytest.mark.parametrize("counts", [ROWS[:2], ROWS + [[0, 0, 0]], [[1, 2], [1, 4], [1, 1]],
+                                        [[1, 2, 2], [1, 4, 3], [1, 1, 2, 0]]],
+                             ids=["two-rows", "four-rows", "short-rows", "long-row"])
+    def test_wrong_shape(self, counts):
+        with pytest.raises(ValueError, match="rows of 3"):
+            Substitution(WORKED.alphabet, WORKED.images, counts=counts)
+
+    def test_row_not_summing_to_length(self):
+        """phi(B) has 8 letters; (1, 4, 2) sums to 7."""
+        with pytest.raises(ValueError, match="summing"):
+            Substitution(WORKED.alphabet, WORKED.images, counts=[[1, 2, 2], [1, 4, 2], [1, 1, 2]])
+
+    @pytest.mark.parametrize("image", ["", 5, None], ids=["empty", "int", "missing"])
+    @pytest.mark.parametrize("counts", [None, ROWS], ids=["scanned", "given"])
+    def test_bad_image(self, image, counts):
+        images = dict(WORKED.images, B=image)
+        if image is None:
+            del images["B"]
+        with pytest.raises(UnknownLetter, match="'B'"):
+            Substitution(WORKED.alphabet, images, counts=counts)
+
+    def test_positional_counts_refused(self):
+        with pytest.raises(TypeError):
+            Substitution(WORKED.alphabet, WORKED.images, self.ROWS)
+
+    def test_power_of_text_alphabet_rescans(self):
+        """A two-character letter is counted as a factor, so N^n does not apply."""
+        sub = Substitution.from_text("A -> AB\nB -> BA\nAB -> A")
+        sq = sub.power(2)
+        assert sq.incidence() == TestIncidence.counted(sq)
+
+
 class TestSpectrum:
     def test_worked_eigenvalues(self):
         vals = eigenvalues(WORKED, F2)
