@@ -215,7 +215,7 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
         if sum(p[3] for p in pieces) > STEP_BUDGET:
             raise StepBudgetExceeded(f"the images for lambda = {lam} exceed {STEP_BUDGET} letters")
         texts = ["".join(texts[i] for i in p[4]) for p in pieces]
-        # unpack a list: unpacking a generator made a long run's RSS creep up (CPython 3.11)
+        # a list, not a generator: the generator form grew peak RSS on synth-long
         counts = [tuple(map(sum, zip(*[counts[i] for i in p[4]]))) for p in pieces]
     ok = [p[:3] for p in pieces] == [(cuts[i], cuts[i + 1], moves[i]) for i in range(3)]
     # without the homothety, phi(i) is the return word of the left end of lam' * I_i

@@ -6,7 +6,7 @@ of letter i (row per source letter).  Under this convention the column
 vector (1-eps, 1-2*eps, -eps) is a right eigenvector of N for the small
 conjugate of the scaling unit, which is the identity every synthesis
 result is checked against.  The rows are counted in the images at
-construction, or carried in by `power` and `invariance.return_substitution`.
+construction, or carried in by `invariance.return_substitution`.
 
 `Substitution.block_starts` is the one place that cuts an orbit word into
 the blocks phi(u_m) aligned at 0; `verify_fixed_point` and
@@ -32,8 +32,11 @@ class Substitution:
 
     Construction validates the images and fixes the incidence rows, so
     `images` must not be mutated.  The rows are counted in the images, or
-    given as `counts` by a caller that knows them; given rows are checked
-    for shape and for summing to each image's length, not rescanned.
+    given as `counts` by a caller that knows them.  Given rows are trusted
+    apart from a check of their shape and that each sums to its image's
+    length: the images are not scanned, so a foreign letter goes unseen,
+    and untrusted images must be built without `counts`.  `counts` is a
+    constructor argument only; read the rows with `incidence()`.
     """
 
     alphabet: Tuple[str, ...]
@@ -72,15 +75,10 @@ class Substitution:
             raise UnknownLetter(f"letter {exc.args[0]!r} not in alphabet") from None
 
     def power(self, n: int) -> "Substitution":
-        """phi^n, whose incidence N^n is an integer product when the letters
-        are distinct characters (a longer letter is counted as a factor)."""
-        images, k = {a: a for a in self.alphabet}, len(self.alphabet)
-        rows = [[int(i == j) for j in range(k)] for i in range(k)]
+        images = {a: a for a in self.alphabet}
         for _ in range(n):
             images = {a: self(images[a]) for a in self.alphabet}
-            rows = _matmul(rows, self._rows)
-        simple = len(images) == k and all(len(a) == 1 for a in images)
-        return Substitution(self.alphabet, images, counts=rows if simple else None)
+        return Substitution(self.alphabet, images)
 
     # -- incidence matrix -----------------------------------------------------
 

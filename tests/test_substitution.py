@@ -123,12 +123,6 @@ class TestGivenCounts:
         with pytest.raises(TypeError):
             Substitution(WORKED.alphabet, WORKED.images, self.ROWS)
 
-    def test_power_of_text_alphabet_rescans(self):
-        """A two-character letter is counted as a factor, so N^n does not apply."""
-        sub = Substitution.from_text("A -> AB\nB -> BA\nAB -> A")
-        sq = sub.power(2)
-        assert sq.incidence() == TestIncidence.counted(sq)
-
 
 class TestSpectrum:
     def test_worked_eigenvalues(self):
