@@ -217,12 +217,17 @@ def _induce(frame: Frame, pieces, lo, hi, texts):
     old window may read the same letters through other pieces, which
     `texts`, the letters of `pieces`, settle.
 
-    Points are integer pairs of `frame`.  A part [x, y) moved by t is
-    compared at u = x + t and v = y + t through the frame's float filter:
-    a margin between float images decides when it clears the bound `tol`,
-    and `Frame.cmp` decides inside it.  The piece holding u is found by
-    bisection on the float images of the piece ends, or, when u lies within
-    the bound of one, by counting with `Frame.cmp` the ends at or below u.
+    Points are integer pairs of `frame`.  A part [x, y) moved by t carries
+    u = x + t, v = y + t and t; the floats of u and v, and so the bound
+    below, are those of the sums.  u and v are compared through the
+    frame's float filter: a margin between float images decides when it
+    clears the bound `tol`, and `Frame.cmp` decides inside it.  The piece
+    holding u is found by bisection on the float images of the piece ends,
+    or, when u lies within the bound of one, by counting with `Frame.cmp`
+    the ends at or below u.  A cut's ties are known and not compared: the
+    part left of a piece end moves through that piece and the part right
+    of it starts the next one; a part that meets the window is cut at hi
+    and lo and lands between them, and its parts beyond do not meet it.
     The bound is carried per part.  With s the largest size of an end or
     window end, x and y are window ends or cuts m = end - t', t' an earlier
     translation of the part, so a margin sums sizes of at most
@@ -236,37 +241,36 @@ def _induce(frame: Frame, pieces, lo, hi, texts):
     # each piece: its move, its letter count and the bound that the move adds
     steps = [(*s, k, frame.tol(2 * frame.size(s))) for _, _, s, k, _ in pieces]
     last = len(pieces) - 1
-    out, todo = [], [(lo, hi, 0, 0, frame.tol(2 * frame.size(lo, hi, *ends)), 0, ())]
+    # a part is (u, v, t, tol, n, word, j): j is the piece u starts, None if unknown, -1 if landed
+    out, todo = [], [(lo, hi, (0, 0), frame.tol(2 * frame.size(lo, hi, *ends)), 0, (), None)]
     while todo:
-        x, y, t0, t1, tol, n, word = todo.pop()
-        (x0, x1), (y0, y1) = x, y
-        while True:
-            fu = (x0 + t0) / L + (x1 + t1) / L * ef
-            fv = (y0 + t0) / L + (y1 + t1) / L * ef
-            # [u, v) meets the window: u < hi and lo < v
-            if word and ((d := fu - fhi) < -tol or d <= tol and cmp((x0 + t0, x1 + t1), hi) < 0) \
-                    and ((d := fv - flo) > tol or d >= -tol and cmp((y0 + t0, y1 + t1), lo) > 0):
-                if (d := fu - flo) < -tol or d <= tol and cmp((x0 + t0, x1 + t1), lo) < 0:
-                    cut = lo
-                elif (d := fv - fhi) > tol or d >= -tol and cmp((y0 + t0, y1 + t1), hi) > 0:
-                    cut = hi
-                else:
-                    break
-            else:
+        (u0, u1), (v0, v1), (t0, t1), tol, n, word, j = todo.pop()
+        fu, fv = u0 / L + u1 / L * ef, v0 / L + v1 / L * ef
+        while j != -1:
+            if j is None or j > last:  # the piece of u; past the last piece, this raises
                 j = bisect(fends, fu)
                 if not (j <= last and fends[j] - fu > tol and (j == 0 or fu - fends[j - 1] > tol)):
-                    j = sum(cmp((x0 + t0, x1 + t1), e) >= 0 for e in ends)  # u near an end
+                    j = sum(cmp((u0, u1), e) >= 0 for e in ends)  # u near an end
                     if j > last:  # the pieces tile a window that holds every part
                         raise AssertionError("a part left the window of the pieces")
-                cut = ends[j]
-                if (d := fv - fends[j]) < -tol or d <= tol and cmp((y0 + t0, y1 + t1), cut) <= 0:
-                    s0, s1, k, grow = steps[j]
-                    t0, t1, n, word, tol = t0 + s0, t1 + s1, n + k, word + (j,), tol + grow
-                    continue
-            m = (cut[0] - t0, cut[1] - t1)  # the cut, where the part started
-            todo.append((m, (y0, y1), t0, t1, tol, n, word))
-            y0, y1 = m
-        y, t = (y0, y1), (t0, t1)
+            if (d := fv - fends[j]) > tol or d >= -tol and cmp((v0, v1), ends[j]) > 0:
+                todo.append((ends[j], (v0, v1), (t0, t1), tol, n, word, j + 1))
+                (v0, v1), fv = ends[j], fends[j]
+            s0, s1, k, grow = steps[j]
+            u0, u1, v0, v1, t0, t1 = u0 + s0, u1 + s1, v0 + s0, v1 + s1, t0 + s0, t1 + s1
+            n, word, tol, j = n + k, word + (j,), tol + grow, None
+            fu, fv = u0 / L + u1 / L * ef, v0 / L + v1 / L * ef
+            # [u, v) meets the window: u < hi and lo < v
+            if ((d := fu - fhi) < -tol or d <= tol and cmp((u0, u1), hi) < 0) \
+                    and ((d := fv - flo) > tol or d >= -tol and cmp((v0, v1), lo) > 0):
+                j = -1
+                if (d := fv - fhi) > tol or d >= -tol and cmp((v0, v1), hi) > 0:
+                    todo.append((hi, (v0, v1), (t0, t1), tol, n, word, None))
+                    (v0, v1), fv = hi, fhi
+                if (d := fu - flo) < -tol or d <= tol and cmp((u0, u1), lo) < 0:
+                    todo.append((lo, (v0, v1), (t0, t1), tol, n, word, -1))
+                    (v0, v1), fv, j = lo, flo, None
+        x, y, t = (u0 - t0, u1 - t1), (v0 - t0, v1 - t1), (t0, t1)
         if out and out[-1][2:4] == (t, n) and (out[-1][4] == word or "".join(
                 texts[i] for i in out[-1][4]) == "".join(texts[i] for i in word)):
             out[-1] = (out[-1][0], y, t, n, word)

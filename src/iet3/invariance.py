@@ -53,20 +53,16 @@ STEP_BUDGET = 10**6  # cap on the letters of phi, tested before they are spelled
 class ReturnSystem:
     """First return data on J = lam' * [c, c+l).
 
-    For eps' > 1 the return map is that of the reversal-reduced spec, so
-    `return_names` are its words with A and C swapped, phi(C), phi(B),
-    phi(A) reversed, and `return_times` lists |phi(C)|, |phi(B)|, |phi(A)|.
+    `return_times` are |phi(A)|, |phi(B)|, |phi(C)|, the row sums of the
+    counts the induction carries; for eps' > 1 the return map is that of the
+    reversal-reduced spec, so they list |phi(C)|, |phi(B)|, |phi(A)|.
     """
 
     j_start: QuadNum
     j_end: QuadNum
-    return_names: Tuple[str, str, str]
+    return_times: Tuple[int, int, int]
     homothety_ok: bool
     levels: int  # windows of the nested induction, J the last
-
-    @property
-    def return_times(self) -> Tuple[int, int, int]:
-        return tuple(len(w) for w in self.return_names)
 
 
 @dataclass
@@ -103,11 +99,15 @@ def reduce_by_reversal(spec: IetSpec) -> IetSpec:
 
 def _scaled_coder(spec: IetSpec, conj: QuadNum):
     """An `OrbitCoder` whose frame also holds lam' * (c, d1, d2, c+l) and
-    lam' * shift_i, with the pairs of those two lists."""
-    cuts = [conj * x for x in (spec.c, spec.d1, spec.d2, spec.end)]
-    moves = [conj * s for s in spec.shifts()]
-    coder = OrbitCoder(spec, cuts + moves)
-    return coder, list(map(coder.frame.pair, cuts)), list(map(coder.frame.pair, moves))
+    lam' * shift_i, with the pairs of those two lists: integer sums of the
+    pairs of lam', lam' * c, lam' * l and lam' * eps, the frame's four."""
+    four = [conj, conj * spec.c, conj * spec.l, conj * spec.eps]
+    coder = OrbitCoder(spec, four)
+    (u0, u1), (c0, c1), (l0, l1), (e0, e1) = map(coder.frame.pair, four)
+    # d1 = c + l - 1 + eps and d2 = c + eps; the shifts are 1 - eps, 1 - 2*eps and -eps
+    cuts = [(c0, c1), (c0 + l0 - u0 + e0, c1 + l1 - u1 + e1), (c0 + e0, c1 + e1),
+            (c0 + l0, c1 + l1)]
+    return coder, cuts, [(u0 - e0, u1 - e1), (u0 - 2 * e0, u1 - 2 * e1), (-e0, -e1)]
 
 
 def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
@@ -185,15 +185,16 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     For eps' > 1 the induction runs on the reversal-reduced spec (same J)
     with A and C swapped in its letters, and each image comes back reversed.
     Each piece's letter counts are carried as integer sums over its index
-    word, so the `Substitution` is built on them without a scan.
+    word, so the `Substitution` is built on them without a scan, and of J's
+    words only the three images are spelled, in their final orientation:
+    for eps' > 1 from the reversed words of the level before.
     """
     conj = lam.conjugate()
     if not 0 < conj < 1:
         raise InvalidUnit(f"lambda' = {conj} is not in (0, 1)")
     reduced = spec.eps.conjugate() > 1
     spec = reduce_by_reversal(spec) if reduced else spec
-    # lam' * (c, d1, d2, c+l) and lam' * shift_i: J = lam' * [c, c+l) is
-    # homothetic when its pieces are lam' * I_i, moved by lam' * shift_i
+    # J = lam' * [c, c+l) is homothetic when its pieces are lam' * I_i, moved by lam' * shift_i
     coder, cuts, moves = _scaled_coder(spec, conj)
     fr = coder.frame
     # pair(lam0' * x) = M' * pair(x), and lam0'^k > lam' iff lam0'^k * (c+l) > J's end
@@ -210,21 +211,23 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     pieces = [(a, b, s, 1, ()) for a, b, s in zip(ends, ends[1:], coder.shift)]  # I_i
     texts = list("CBA" if reduced else LETTERS)  # the letters of each piece
     counts = [tuple(int(a == b) for b in LETTERS) for a in texts]  # and their (n_A, n_B, n_C)
-    for lo, hi in windows:
+    for level, (lo, hi) in enumerate(windows, 1):
         pieces = _induce(fr, pieces, lo, hi, texts)
         if sum(p[3] for p in pieces) > STEP_BUDGET:
             raise StepBudgetExceeded(f"the images for lambda = {lam} exceed {STEP_BUDGET} letters")
-        texts = ["".join(texts[i] for i in p[4]) for p in pieces]
         # a list, not a generator: the generator form grew peak RSS on synth-long
         counts = [tuple(map(sum, zip(*[counts[i] for i in p[4]]))) for p in pieces]
+        if level < len(windows):  # J's words are spelled below, only the three picked
+            texts = ["".join(texts[i] for i in p[4]) for p in pieces]
     ok = [p[:3] for p in pieces] == [(cuts[i], cuts[i + 1], moves[i]) for i in range(3)]
     # without the homothety, phi(i) is the return word of the left end of lam' * I_i
     picks = [next(k for k, p in enumerate(pieces) if fr.cmp(x, p[1]) < 0) for x in cuts[:3]]
-    names, rows = [texts[k] for k in picks], [counts[k] for k in picks]
-    ret = ReturnSystem(fr.point(cuts[0]), fr.point(cuts[3]), tuple(names), ok, len(windows))
+    words, rows = [pieces[k][4] for k in picks], [counts[k] for k in picks]
+    ret = ReturnSystem(*map(fr.point, cuts[::3]), tuple(map(sum, rows)), ok, len(windows))
     if reduced:  # phi(A), phi(B), phi(C) are the words of C, B, A reversed
-        names, rows = [w[::-1] for w in reversed(names)], rows[::-1]
-    return ret, Substitution(("A", "B", "C"), dict(zip("ABC", names)), counts=rows)
+        texts, words, rows = [w[::-1] for w in texts], [w[::-1] for w in words[::-1]], rows[::-1]
+    images = ["".join(texts[i] for i in w) for w in words]
+    return ret, Substitution(("A", "B", "C"), dict(zip("ABC", images)), counts=rows)
 
 
 def synthesize(spec: IetSpec):

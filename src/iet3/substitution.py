@@ -47,16 +47,15 @@ class Substitution:
 
     def __post_init__(self, counts):
         images = [self.images.get(a) for a in self.alphabet]
-        for letter, img in zip(self.alphabet, images):
+        for k, (letter, img) in enumerate(zip(self.alphabet, images)):
+            if not (isinstance(letter, str) and len(letter) == 1) or letter in self.alphabet[:k]:
+                raise UnknownLetter(f"letter {letter!r} is not one character used once")
             if not (img and isinstance(img, str)):
                 raise UnknownLetter(f"no (nonempty) string image for letter {letter!r}")
         if counts is None:
             counts = [tuple(img.count(b) for b in self.alphabet) for img in images]
-            # the positions of the letters a character can be, each letter once
-            chars = [k for k, a in enumerate(self.alphabet)
-                     if len(a) == 1 and self.alphabet.index(a) == k]
             for img, row in zip(images, counts):
-                if sum(row[k] for k in chars) != len(img):
+                if sum(row) != len(img):
                     bad = next(ch for ch in img if ch not in self.alphabet)
                     raise UnknownLetter(f"image letter {bad!r} not in alphabet")
         else:
@@ -98,13 +97,17 @@ class Substitution:
         return False
 
     def check_eigenvector(self, eps: QuadNum, lam: QuadNum) -> bool:
-        """N * (1-eps, 1-2*eps, -eps)^T = lam' * same, exactly."""
+        """N * (1-eps, 1-2*eps, -eps)^T = lam' * same, exactly: row (a, b, c) gives
+        (a+b) - (a+2b+c)*eps, and s + t*eps gives s*lam' + t*lam'*eps, as integers."""
         if len(self.alphabet) != 3:
             return False
-        one = eps.field.one()
-        v = (one - eps, one - 2 * eps, -eps)
         conj = lam.conjugate()
-        return all(sum(k * y for k, y in zip(row, v)) == conj * x for row, x in zip(self._rows, v))
+        nums = (eps, conj, conj * eps)
+        d = nums[0].d * nums[1].d * nums[2].d
+        (e0, e1), (c0, c1), (m0, m1) = ((x.p * (d // x.d), x.q * (d // x.d)) for x in nums)
+        return all(((a + b) * d - (a + 2 * b + c) * e0, -(a + 2 * b + c) * e1)
+                   == (s * c0 + t * m0, s * c1 + t * m1)
+                   for (a, b, c), (s, t) in zip(self._rows, ((1, -1), (1, -2), (0, -1))))
 
     # -- fixed point ----------------------------------------------------------
 

@@ -18,6 +18,7 @@ from oracles import ancestor, check_lemma_ancestor, points
 from walk_oracle import StraddlesDiscontinuity, walk_interval, walk_substitution
 
 F2 = make_field(1, 2, -1, 1)
+F5 = make_field(1, 1, -1, 1)  # eps = (sqrt5-1)/2, conjugate < 0
 F5R = make_field(1, -3, 1, -1)  # eps = (3-sqrt5)/2, conjugate > 1
 
 
@@ -266,6 +267,32 @@ class TestInduction:
         assert ret.homothety_ok and ok
         assert sub.images == walked.images == rep.substitution.power(2).images
         assert ret.levels == 2 * rep.unit.s
+
+    @pytest.mark.parametrize("field, l, c, bound", [(F2, "1/2+1/2*e", "-1/2*e", 5),
+                                                    (F5, "1-1/2*e", "-1/3*e", 8)],
+                             ids=["worked", "sqrt5-neg"])
+    def test_known_ties_not_compared(self, monkeypatch, field, l, c, bound):
+        """`_induce` knows where its own cuts put a part, so the exact
+        comparisons of a witness's induction stay few.  The bounds are the
+        counts of `Frame.cmp` inside `_induce` with the cuts known; when
+        every cut end was compared again they were 14 (worked example, one
+        level) and 100 (sqrt5-neg, s = 4).  The counts are deterministic:
+        IEEE floats on fixed inputs."""
+        sp = make_spec(field.eps(), parse_quadnum(l, field), parse_quadnum(c, field))
+        rep = decide(sp)
+        induce, exact = iet3.invariance._induce, []
+
+        def counted(frame, *args):
+            cmp = frame.cmp
+            frame.cmp = lambda p, q: exact.append((p, q)) or cmp(p, q)
+            try:
+                return induce(frame, *args)
+            finally:
+                frame.cmp = cmp
+        monkeypatch.setattr(iet3.invariance, "_induce", counted)
+        ret, sub = return_substitution(sp, rep.unit.lam)
+        assert ret.levels == rep.unit.s and sub == rep.substitution
+        assert 0 < len(exact) <= bound
 
 
 class TestWalkFilter:

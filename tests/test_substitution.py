@@ -36,6 +36,21 @@ class TestMorphism:
         with pytest.raises(UnknownLetter, match="'X'"):
             Substitution(("A", "B", "C"), images)
 
+    @pytest.mark.parametrize("text", ["A -> AB\nB -> BA\nAB -> A", "A -> AB\nB -> BAB\nAB -> A",
+                                      "A -> AB\nB -> A\nA -> B", " -> A\nA -> A"],
+                             ids=["two-character", "two-character-factor", "repeated", "empty"])
+    def test_letters_are_single_characters(self, text):
+        """A word is read character by character, so a letter of several
+        characters would never be applied and would count as a factor of
+        the images, and a repeated letter would own two rows."""
+        with pytest.raises(UnknownLetter, match="one character"):
+            Substitution.from_text(text)
+
+    def test_repeated_letter_with_given_counts(self):
+        with pytest.raises(UnknownLetter, match="'A'"):
+            Substitution(("A", "B", "A"), {"A": "AB", "B": "A"},
+                         counts=[[1, 1, 0], [1, 0, 0], [1, 1, 0]])
+
     def test_text_round_trip(self):
         text = WORKED.to_text()
         assert "A -> BBCAC" in text
@@ -73,11 +88,9 @@ class TestIncidence:
         for label, sub in witnesses:
             assert sub.incidence() == self.counted(sub), label
 
-    @pytest.mark.parametrize("text", ["0 -> 01\n1 -> 12\n2 -> 230\n3 -> 3120",
-                                      "A -> AB\nB -> BAB\nAB -> A"])
+    @pytest.mark.parametrize("text", ["0 -> 01\n1 -> 12\n2 -> 230\n3 -> 3120"])
     def test_counts_on_text_alphabets(self, text):
-        """Four one-character letters, and a two-character letter that
-        counts as a factor of the images."""
+        """Four one-character letters."""
         sub = Substitution.from_text(text)
         assert sub.incidence() == self.counted(sub)
 
@@ -151,6 +164,20 @@ class TestSpectrum:
         assert WORKED.check_eigenvector(spec.eps, lam)
         assert not WORKED.check_eigenvector(spec.eps, lam * lam)
         assert not WORKED.check_eigenvector(spec.eps, F2.rational(1) / 2)
+
+    @pytest.mark.parametrize("lam", ["5+2*e", "29+12*e", "3+2*e", "1/2", "5/3+2/3*e", "-5-2*e"])
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_eigenvector_matches_field_products(self, spec, lam, power):
+        """The integer check against N * v = lam' * v in field arithmetic,
+        for lam in and outside Z[e]; phi^n has the eigenvalue lam^n."""
+        lam = parse_quadnum(lam, F2)
+        sub = WORKED.power(power)
+        one = F2.one()
+        v = (one - spec.eps, one - 2 * spec.eps, -spec.eps)
+        want = all(sum(k * y for k, y in zip(row, v)) == lam.conjugate() * x
+                   for row, x in zip(sub.incidence(), v))
+        assert sub.check_eigenvector(spec.eps, lam) == want
+        assert want == (lam == parse_quadnum("5+2*e", F2) ** power)
 
     def test_eigenvector_rejects_swapped_counts(self, spec):
         """A and C exchanged in the image of A: its row reads (2, 2, 1)."""
