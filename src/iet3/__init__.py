@@ -7,7 +7,7 @@ from .quadunit import PellSolution, ScalingUnit, class_fixing_power, lemma_unit,
 from .iet import IetSpec, OrbitCoder, code_orbit, inverse_step, make_spec, non_degenerate, normalize, orbit_window, step
 from .capset import CapSetConfig, check_selfsimilarity, gap_class, generate, lattice_filter, point_value, star
 from .substitution import Substitution, complexity, count_factors
-from .invariance import DecisionReport, ReturnSystem, check_block_starts, decide, is_sturm, reduce_by_reversal, synthesize
+from .invariance import DecisionReport, ReturnSystem, check_block_starts, decide, is_sturm, synthesize
 from .sturmian import SturmianSpec, corollary_crosscheck, sigma, sturmian_images_match, sturmian_word, yasutomi
 
 __version__ = "0.1.0"

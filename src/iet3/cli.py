@@ -134,7 +134,7 @@ def _print_report(report: DecisionReport, fmt: str, out):
             file=out,
         )
         if report.reversed_reduction:
-            print("  (synthesized through the reversal reduction 1-eps)", file=out)
+            print("  (eps' > 1, so the return times are listed as |phi(C)|, |phi(B)|, |phi(A)|)", file=out)
         for a in report.substitution.alphabet:
             print(f"  {a} -> {report.substitution.images[a]}", file=out)
         print(f"  return times: {rs.return_times}", file=out)

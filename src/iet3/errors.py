@@ -59,7 +59,3 @@ class WitnessRejected(Iet3Error):
 
 class InvalidUnit(Iet3Error):
     """A scaling candidate with conjugate outside (0, 1), or not permuting classes mod Z[e]."""
-
-
-class NotApplicable(Iet3Error):
-    """Operation precondition (e.g. conjugate branch) not met."""

@@ -72,13 +72,6 @@ class IetSpec:
         one = self.field.one()
         return (one - self.eps, one - 2 * self.eps, -self.eps)
 
-    def subintervals(self):
-        return (
-            (self.c, self.d1),
-            (self.d1, self.d2),
-            (self.d2, self.end),
-        )
-
     def contains(self, x: QuadNum) -> bool:
         return self.c <= x < self.end
 

@@ -10,9 +10,10 @@ every step, so inside one interval I_i at every letter; the letters J's
 piece K_i reads are phi(i).  The induction is the proof: if each K_i is
 lam' * I_i and lands on lam' * T(I_i) (the homothety check), the orbit of
 lam' * x, x in I_i, reads phi(i) and ends at lam' * T(x), so by induction
-from 0 = lam' * 0, u = phi(u) on both sides.  J is scaled by the one unit
-`synthesize` derives from c and c+l; the images may total at most
-`STEP_BUDGET` letters.
+from 0 = lam' * 0, u = phi(u) on both sides.  Nothing here depends on the
+sign of eps', so every Sturm slope is induced from its own I_A, I_B, I_C
+in the same way.  J is scaled by the one unit `synthesize` derives from c
+and c+l; the images may total at most `STEP_BUDGET` letters.
 
 The induction is `iet._induce`, which also gives the orbit coder its
 induced exchanges; here it compares the integer pairs of one
@@ -29,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Optional, Tuple
 
-from .errors import InvalidUnit, NotApplicable, StepBudgetExceeded, WitnessRejected
-from .iet import LETTERS, IetSpec, OrbitCoder, _induce, make_spec
+from .errors import InvalidUnit, StepBudgetExceeded, WitnessRejected
+from .iet import LETTERS, IetSpec, OrbitCoder, _induce
 from .qfield import QuadNum, denominator
-from .quadunit import ScalingUnit, class_fixing_power, integer_matrix, lemma_unit
+from .quadunit import ScalingUnit, class_fixing_power, contraction, lemma_unit
 from .substitution import Substitution
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "synthesize",
     "return_substitution",
     "check_block_starts",
-    "reduce_by_reversal",
 ]
 
 STEP_BUDGET = 10**6  # cap on the letters of phi, tested before they are spelled
@@ -54,8 +54,8 @@ class ReturnSystem:
     """First return data on J = lam' * [c, c+l).
 
     `return_times` are |phi(A)|, |phi(B)|, |phi(C)|, the row sums of the
-    counts the induction carries; for eps' > 1 the return map is that of the
-    reversal-reduced spec, so they list |phi(C)|, |phi(B)|, |phi(A)|.
+    counts the induction carries; for eps' > 1 they are listed as
+    |phi(C)|, |phi(B)|, |phi(A)|, the order that stored reports carry.
     """
 
     j_start: QuadNum
@@ -74,7 +74,7 @@ class DecisionReport:
     return_system: Optional[ReturnSystem] = None
     substitution: Optional[Substitution] = None
     checks: Dict[str, bool] = dc_field(default_factory=dict)
-    reversed_reduction: bool = False
+    reversed_reduction: bool = False  # eps' > 1, so return_times run C, B, A
 
 
 def is_sturm(eps: QuadNum) -> bool:
@@ -84,17 +84,6 @@ def is_sturm(eps: QuadNum) -> bool:
     zero, one = eps.field.zero(), eps.field.one()
     conj = eps.conjugate()
     return zero < eps < one and not (zero < conj < one)
-
-
-def reduce_by_reversal(spec: IetSpec) -> IetSpec:
-    """Parameters (1-eps, l, c), coding the reversed word up to an A/C swap:
-    the reduced exchange is T^-1 with A and C swapped, so its word u* is
-    u*_n = swap(u_(-1-n)).  Applicable when eps' > 1; the reduced slope
-    has conjugate 1-eps' < 0.
-    """
-    if not spec.eps.conjugate() > 1:
-        raise NotApplicable("reversal reduction needs eps' > 1")
-    return make_spec(spec.field.one() - spec.eps, spec.l, spec.c)
 
 
 def _scaled_coder(spec: IetSpec, conj: QuadNum):
@@ -177,28 +166,24 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     k = 1, 2, ... while lam0'^k > lam', and last on J (`ReturnSystem.levels`
     windows in all).  The windows nest as 0 is in Omega; a level has a few
     pieces and costs about lam0 times as many steps, however long its words.
+    Level 0 is the spec's own I_A, I_B, I_C, whatever the sign of eps'.
     The homothety check asks that J's pieces are lam' * I_i, moved by
     lam' * shift_i; when it fails, `homothety_ok` is False and phi(i) is the
     return word of the left end of lam' * I_i.  `StepBudgetExceeded` is
     raised once a level's words total more than STEP_BUDGET letters, before
     they are spelled; each of them occurs in some word of J's first return.
-    For eps' > 1 the induction runs on the reversal-reduced spec (same J)
-    with A and C swapped in its letters, and each image comes back reversed.
     Each piece's letter counts are carried as integer sums over its index
     word, so the `Substitution` is built on them without a scan, and of J's
-    words only the three images are spelled, in their final orientation:
-    for eps' > 1 from the reversed words of the level before.
+    words only the three images are spelled.
     """
     conj = lam.conjugate()
     if not 0 < conj < 1:
         raise InvalidUnit(f"lambda' = {conj} is not in (0, 1)")
-    reduced = spec.eps.conjugate() > 1
-    spec = reduce_by_reversal(spec) if reduced else spec
     # J = lam' * [c, c+l) is homothetic when its pieces are lam' * I_i, moved by lam' * shift_i
     coder, cuts, moves = _scaled_coder(spec, conj)
     fr = coder.frame
     # pair(lam0' * x) = M' * pair(x), and lam0'^k > lam' iff lam0'^k * (c+l) > J's end
-    (m00, m01), (m10, m11) = integer_matrix(lemma_unit(spec.field).conjugate())
+    (m00, m01), (m10, m11) = contraction(spec.field)
     windows, lo, hi = [], coder.c, coder.end
     while True:
         lo = (m00 * lo[0] + m01 * lo[1], m10 * lo[0] + m11 * lo[1])
@@ -209,8 +194,8 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     windows.append((cuts[0], cuts[3]))
     ends = (coder.c, coder.d1, coder.d2, coder.end)
     pieces = [(a, b, s, 1, ()) for a, b, s in zip(ends, ends[1:], coder.shift)]  # I_i
-    texts = list("CBA" if reduced else LETTERS)  # the letters of each piece
-    counts = [tuple(int(a == b) for b in LETTERS) for a in texts]  # and their (n_A, n_B, n_C)
+    texts = list(LETTERS)  # the letters of each piece
+    counts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]  # and their (n_A, n_B, n_C)
     for level, (lo, hi) in enumerate(windows, 1):
         pieces = _induce(fr, pieces, lo, hi, texts)
         if sum(p[3] for p in pieces) > STEP_BUDGET:
@@ -222,11 +207,11 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     ok = [p[:3] for p in pieces] == [(cuts[i], cuts[i + 1], moves[i]) for i in range(3)]
     # without the homothety, phi(i) is the return word of the left end of lam' * I_i
     picks = [next(k for k, p in enumerate(pieces) if fr.cmp(x, p[1]) < 0) for x in cuts[:3]]
-    words, rows = [pieces[k][4] for k in picks], [counts[k] for k in picks]
-    ret = ReturnSystem(*map(fr.point, cuts[::3]), tuple(map(sum, rows)), ok, len(windows))
-    if reduced:  # phi(A), phi(B), phi(C) are the words of C, B, A reversed
-        texts, words, rows = [w[::-1] for w in texts], [w[::-1] for w in words[::-1]], rows[::-1]
-    images = ["".join(texts[i] for i in w) for w in words]
+    rows = [counts[k] for k in picks]
+    # for eps' > 1 the times are listed C, B, A, the order stored reports carry
+    times = tuple(map(sum, rows[::-1] if spec.eps.conjugate() > 1 else rows))
+    ret = ReturnSystem(*map(fr.point, cuts[::3]), times, ok, len(windows))
+    images = ["".join(texts[i] for i in pieces[k][4]) for k in picks]
     return ret, Substitution(("A", "B", "C"), dict(zip("ABC", images)), counts=rows)
 
 

@@ -383,10 +383,6 @@ class Frame:
     def point(self, p: Tuple[int, int]) -> QuadNum:
         return QuadNum(p[0], p[1], self.L, self.field)
 
-    def sign(self, p: Tuple[int, int]) -> int:
-        """Exact sign of the number with pair p."""
-        return self.cmp(p, (0, 0))
-
     def approx(self, p: Tuple[int, int]) -> float:
         """Float image of the number with pair p, within tol(size(p))."""
         return p[0] / self.L + p[1] / self.L * self.ef

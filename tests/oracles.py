@@ -1,9 +1,10 @@
-"""References that only the tests read: the orbit points of a coder's
-text and the orbit as a stream of points,
-Sturmian words by integer rounding, the ancestor criterion of the paper's
-lemma, the exact spectrum of an incidence matrix, the nested induction
-with every comparison exact, and the block cut letter by letter.  The
-library's decision and its proof need none of them.
+"""References that only the tests read: the exchange's subintervals, the
+exact sign of a frame pair, the orbit points of a coder's text and the
+orbit as a stream of points, Sturmian words by integer rounding, the
+ancestor criterion of the paper's lemma, the exact spectrum of an
+incidence matrix, the nested induction with every comparison exact, and
+the block cut letter by letter.  The library's decision and its proof
+need none of them.
 """
 
 from functools import reduce
@@ -15,6 +16,16 @@ from iet3.errors import NoSquareRoot, OutOfDomain, StepBudgetExceeded
 from iet3.qfield import sqrt_in_field
 
 STEP_BUDGET = 10**6  # cap on the steps of an ancestor search
+
+
+def subintervals(spec):
+    """I_A, I_B, I_C of the exchange, as (start, end) pairs."""
+    return (spec.c, spec.d1), (spec.d1, spec.d2), (spec.d2, spec.end)
+
+
+def frame_sign(frame, p):
+    """Exact sign of the number with pair p of `frame`."""
+    return frame.cmp(p, (0, 0))
 
 
 def points(coder, text, start=(0, 0), back=False):

@@ -19,6 +19,8 @@ NEGATIVE = ["--field", "1,2,-1,+", "--eps", "e", "--l", "1/2+1/2*e",
             "--c=-3/2+7/2*e"]
 # s = 4, return times (83881, 135721, 51841)
 SQRT5_NEG = ["--field", "1,1,-1,+", "--eps", "e", "--l", "1-1/2*e", "--c=-1/3"]
+# eps' > 1, s = 4, images of 60,697 to 158,905 letters
+SQRT5_REV = ["--field", "1,-3,1,-", "--eps", "e", "--l", "1-1/2*e", "--c=-1/3*e"]
 CHECKS = ("fixed_point", "eigenvector", "homothety", "primitive")  # a report's checks
 
 
@@ -131,6 +133,21 @@ class TestVerify:
         assert code == 1
         assert out == "fixed_point: False\neigenvector: True\n"
         assert err == ""
+
+    @pytest.mark.parametrize("edit, code", [
+        (lambda data: data, 0),
+        (lambda data: {**data, "substitution": {**data["substitution"],
+                                                "B": data["substitution"]["B"][::-1]}}, 1),
+        (lambda data: {**data, "return_times": [len(data["substitution"][a]) for a in "ABC"]}, 1),
+    ], ids=["unedited", "phi-B-reversed", "return-times-ABC"])
+    def test_reversed_slope_report(self, tmp_path, capsys, edit, code):
+        """A report for eps' > 1 is rechecked by the same induction as any
+        other.  Its phi(B) reversed passes `verify_fixed_point` on 10^4
+        letters, but not verify; its return times are listed as |phi(C)|,
+        |phi(B)|, |phi(A)|, and the order A, B, C does not pass."""
+        path = edited_report(tmp_path, capsys, SQRT5_REV, edit)
+        assert run(["verify", "--report", path], capsys) == \
+            (code, f"fixed_point: {code == 0}\neigenvector: True\n", "")
 
     @pytest.mark.parametrize("power, new_lambda, passes", [
         (2, lambda lam: lam * lam, True),

@@ -1,21 +1,24 @@
 """The decision procedure: verdicts and exact conditions, witness
 synthesis with its one scaling unit and its nested induction (checked
 against the letter-by-letter return walk), the ancestor criterion, block
-starts, and the reversal reduction for slopes with conjugate above 1."""
+starts, and, for slopes with conjugate above 1, the reversal reduction
+that the walk uses."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import iet3.invariance
-from conftest import convergents, corpus
+from conftest import FIELD_SLOPES, convergents, corpus
 from iet3 import (OrbitCoder, check_block_starts, code_orbit, decide, is_sturm,
-                  make_field, make_spec, parse_quadnum, reduce_by_reversal, step,
+                  make_field, make_spec, parse_quadnum, step,
                   synthesize, ScalingUnit, Substitution)
 from iet3.invariance import return_substitution
-from iet3.errors import InvalidUnit, NotApplicable, OutOfDomain, StepBudgetExceeded, WitnessRejected
+from iet3.errors import InvalidUnit, OutOfDomain, StepBudgetExceeded, WitnessRejected
 from oracles import ancestor, check_lemma_ancestor, points
-from walk_oracle import StraddlesDiscontinuity, walk_interval, walk_substitution
+from walk_oracle import (NotApplicable, StraddlesDiscontinuity, reduce_by_reversal, walk_interval,
+                         walk_substitution)
 
 F2 = make_field(1, 2, -1, 1)
 F5 = make_field(1, 1, -1, 1)  # eps = (sqrt5-1)/2, conjugate < 0
@@ -369,8 +372,8 @@ class TestReversal:
     def test_reduced_word_is_mirror(self, rev_spec):
         """The reduced spec codes the reversed word with A and C swapped,
         letter for letter: u*_n = swap(u_(-1-n)) on both sides of 0, on
-        rev_spec and every corpus spec with eps' > 1.  `return_substitution`
-        transports its images by this identity."""
+        rev_spec and every corpus spec with eps' > 1.  The return walk of
+        tests/walk_oracle.py transports its images by this identity."""
         swap = str.maketrans("AC", "CA")
 
         def mirror(word):
@@ -383,9 +386,39 @@ class TestReversal:
             assert code_orbit(red, 0, n) == mirror(code_orbit(sp, -n, 0)), label
             assert code_orbit(red, -n, 0) == mirror(code_orbit(sp, 0, n)), label
 
+    def test_reduced_witness_transports(self):
+        """The identity the walk relies on, checked on the direct induction:
+        on every Invariant spec of the three reversed slopes with l and c
+        in a + b*e, a and b in [-1, 1] with denominators at most 3, the
+        images of `return_substitution` are the reduced spec's own witness
+        at the same lambda for C, B and A, reversed and with A and C
+        swapped, and the return times are the reduced system's."""
+        swap = str.maketrans("AC", "CA")
+        xs = sorted({Fraction(a, d) for d in (1, 2, 3) for a in range(-d, d + 1)})
+        checked = 0
+        for label, fargs in FIELD_SLOPES:
+            f = make_field(*fargs)
+            if not f.eps().conjugate() > 1:
+                continue
+            grid = [f.num(a, b) for a, b in product(xs, repeat=2)]
+            for l, c in product(grid, repeat=2):
+                try:
+                    sp = make_spec(f.eps(), l, c)
+                except ValueError:
+                    continue
+                if decide(sp, synthesize_witness=False).verdict != "Invariant":
+                    continue
+                unit, ret, sub = synthesize(sp)
+                red_ret, red = return_substitution(reduce_by_reversal(sp), unit.lam)
+                assert red_ret.homothety_ok, (label, l, c)
+                assert sub.images == {a: red.images[b][::-1].translate(swap)
+                                      for a, b in zip("ABC", "CBA")}, (label, l, c)
+                assert ret.return_times == red_ret.return_times, (label, l, c)
+                checked += 1
+        assert checked == 604
+
     def test_one_substitution_per_reversed_decide(self, monkeypatch):
-        """The reduced system's words are reversed and swapped as text, so
-        decide builds one Substitution."""
+        """On a reversed slope, too, decide builds one Substitution."""
         calls = {"__post_init__": 0}
 
         def counting(name):

@@ -1,6 +1,8 @@
 """The return walk: the first return map on J = lam' * [c, c+l) read letter
 by letter, an oracle for the nested induction of
-`invariance.return_substitution`.
+`invariance.return_substitution`.  For eps' > 1 it walks the
+reversal-reduced spec, so on those slopes it also checks the induction's
+direct path through an independent identity.
 
 `walk_substitution` walks each K_i = lam' * I_i through the exchange until
 it returns to J, keeping it inside the interval of every letter read; its
@@ -9,7 +11,7 @@ filter, and every margin inside the frame's error bound is decided by the
 exact `Frame.cmp`.
 """
 
-from iet3 import OrbitCoder, Substitution, reduce_by_reversal
+from iet3 import OrbitCoder, Substitution, make_spec
 from iet3.errors import InvalidUnit, Iet3Error, StepBudgetExceeded
 from iet3.iet import LETTERS
 from oracles import orbit_points
@@ -19,6 +21,21 @@ STEP_BUDGET = 10**6  # cap on the steps of one walk
 
 class StraddlesDiscontinuity(Iet3Error):
     """A tracked interval properly crosses a discontinuity point."""
+
+
+class NotApplicable(Iet3Error):
+    """The reversal reduction asked for a slope with eps' < 0."""
+
+
+def reduce_by_reversal(spec):
+    """Parameters (1-eps, l, c), coding the reversed word up to an A/C swap:
+    the reduced exchange is T^-1 with A and C swapped, so its word u* is
+    u*_n = swap(u_(-1-n)).  Applicable when eps' > 1; the reduced slope
+    has conjugate 1-eps' < 0.
+    """
+    if not spec.eps.conjugate() > 1:
+        raise NotApplicable("reversal reduction needs eps' > 1")
+    return make_spec(spec.field.one() - spec.eps, spec.l, spec.c)
 
 
 def walk_interval(coder, lo, hi, js, je, budget=STEP_BUDGET):
