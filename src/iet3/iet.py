@@ -272,15 +272,15 @@ def _induce(frame: Frame, pieces, lo, hi, texts):
     return out
 
 
-def read(frame: Frame, start, n: int, ends, moves, names: str, contract):
+def read(frame: Frame, start, n: int, ends, moves, names: str):
     """(text, end point) of the first n letters read from `start` by the
     exchange whose piece [ends[i], ends[i+1]) reads names[i] and moves by
     moves[i], with `code` run on an induced exchange.
 
-    With Omega = [ends[0], ends[-1]) and M = `contract`, the integer matrix
-    of a unit lam' in (0, 1) with lam * lam' = 1, the windows
-    W_k = start + M^k (Omega - start) hold `start` and nest.  The first
-    return map to W_k is induced from the one to W_(k-1) by `_induce`,
+    With Omega = [ends[0], ends[-1]) and M = `contraction(frame.field)`,
+    the integer matrix of a unit lam' in (0, 1) with lam * lam' = 1, the
+    windows W_k = start + M^k (Omega - start) hold `start` and nest.  The
+    first return map to W_k is induced from the one to W_(k-1) by `_induce`,
     W_0 = Omega being the exchange itself; each of its pieces reads a
     return word and moves by one translation, so `code` decides a piece
     per word instead of per letter.  The mean word length on W_k is
@@ -290,7 +290,7 @@ def read(frame: Frame, start, n: int, ends, moves, names: str, contract):
     16 to 40 times lam words, so level k is induced only while
     INDUCE_COST * trace(M^k) <= n; level 0 codes letter by letter.
     """
-    (m00, m01), (m10, m11) = contract
+    (m00, m01), (m10, m11) = contraction(frame.field)
     trace = m00 + m11
     before, t = 2, trace  # trace(M^(k-1)) and trace(M^k)
     x0, x1 = start
@@ -314,10 +314,11 @@ class OrbitCoder:
     """Exact orbit coding on the integer pairs of a `Frame`.
 
     The frame holds c, l, eps and any `extra` numbers the caller wants to
-    compare orbit points with.  `letters` codes the orbit with `read`, on
-    the exchange with cuts d1, d2 (forward) or c+l-eps, c+1-eps (backward,
-    where the images tile the domain as T(I3), T(I2), T(I1)), or on its
-    first return map to a window around the start point.
+    compare orbit points with (lam' * x for a unit lam' of Z[e] needs none:
+    its pair is M * pair(x), M the integer matrix of lam').  `letters` codes
+    the orbit with `read`, on the exchange with cuts d1, d2 (forward) or
+    c+l-eps, c+1-eps (backward; the images tile the domain as T(I3), T(I2),
+    T(I1)), or on its first return map to a window around the start point.
     """
 
     def __init__(self, spec: IetSpec, extra: Iterable[QuadNum] = ()):
@@ -332,7 +333,6 @@ class OrbitCoder:
         # read's arguments: backward, T^-1 reads C below b1, B below b2, else A
         self._read = (((self.c, self.d1, self.d2, self.end), self.shift, LETTERS),
                       ((self.c, b1, b2, self.end), back[::-1], "CBA"))
-        self._contract = contraction(spec.field)
 
     def letters(self, n: int, start=(0, 0), back: bool = False) -> Tuple[str, Tuple[int, int]]:
         """(u_0 ... u_{n-1}, T^n(start)) of the orbit of `start`; with
@@ -344,7 +344,7 @@ class OrbitCoder:
         cmp = self.frame.cmp
         if cmp(start, self.c) < 0 or cmp(start, self.end) >= 0:
             raise OutOfDomain(f"{self.frame.point(start)} not in [c, c+l)")
-        return read(self.frame, start, n, *self._read[back], self._contract)
+        return read(self.frame, start, n, *self._read[back])
 
     def _chunks(self, start, back):
         """(first point, text) of `letters` read on from `start`, in chunks

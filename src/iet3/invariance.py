@@ -16,24 +16,26 @@ in the same way.  J is scaled by the one unit `synthesize` derives from c
 and c+l; the images may total at most `STEP_BUDGET` letters.
 
 The induction is `iet._induce`, which also gives the orbit coder its
-induced exchanges; here it compares the integer pairs of one
-`iet.OrbitCoder` frame through the frame's float filter, with
-`Frame.cmp` deciding every margin inside the error bound.  The
-block-start check reads the coder's text once, moving an integer pair and
-its float image letter by letter, and tests each point's membership in J
-and in lam' * I_i through the same filter.  The block cut is
-`Substitution.block_starts`, the one `verify_fixed_point` makes.
+induced exchanges; here it compares the pairs of one `iet.OrbitCoder`
+frame, and their images under the integer matrices of units, through the
+frame's float filter, with `Frame.cmp` deciding every margin inside the
+error bound.  The block-start check reads the coder's text once, moving
+an integer pair and its float image letter by letter, and tests each
+point's membership in J and in lam' * I_i through the same filter.  The
+block cut is `Substitution.block_starts`, the one `verify_fixed_point`
+makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import count
 from typing import Dict, Optional, Tuple
 
 from .errors import InvalidUnit, StepBudgetExceeded, WitnessRejected
 from .iet import LETTERS, IetSpec, OrbitCoder, _induce
 from .qfield import QuadNum, denominator
-from .quadunit import ScalingUnit, class_fixing_power, contraction, lemma_unit
+from .quadunit import ScalingUnit, class_fixing_power, contraction, integer_matrix, lemma_unit
 from .substitution import Substitution
 
 __all__ = [
@@ -87,16 +89,14 @@ def is_sturm(eps: QuadNum) -> bool:
 
 
 def _scaled_coder(spec: IetSpec, conj: QuadNum):
-    """An `OrbitCoder` whose frame also holds lam' * (c, d1, d2, c+l) and
-    lam' * shift_i, with the pairs of those two lists: integer sums of the
-    pairs of lam', lam' * c, lam' * l and lam' * eps, the frame's four."""
-    four = [conj, conj * spec.c, conj * spec.l, conj * spec.eps]
-    coder = OrbitCoder(spec, four)
-    (u0, u1), (c0, c1), (l0, l1), (e0, e1) = map(coder.frame.pair, four)
-    # d1 = c + l - 1 + eps and d2 = c + eps; the shifts are 1 - eps, 1 - 2*eps and -eps
-    cuts = [(c0, c1), (c0 + l0 - u0 + e0, c1 + l1 - u1 + e1), (c0 + e0, c1 + e1),
-            (c0 + l0, c1 + l1)]
-    return coder, cuts, [(u0 - e0, u1 - e1), (u0 - 2 * e0, u1 - 2 * e1), (-e0, -e1)]
+    """An `OrbitCoder` and, in its frame, the pairs of lam' * (c, d1, d2,
+    c+l) and lam' * shift_i: M * pair(x) for the integer matrix M of lam',
+    which raises `InvalidUnit` when lam' does not map Z[e] into itself."""
+    coder = OrbitCoder(spec)
+    (m00, m01), (m10, m11) = integer_matrix(conj)
+    scaled = [(m00 * a + m01 * b, m10 * a + m11 * b)
+              for a, b in (coder.c, coder.d1, coder.d2, coder.end, *coder.shift)]
+    return coder, scaled[:4], scaled[4:]
 
 
 def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
@@ -164,17 +164,20 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     With Omega = [c, c+l) and lam0 = `lemma_unit`, the first return to
     lam0'^k * Omega is induced from the one to lam0'^(k-1) * Omega for
     k = 1, 2, ... while lam0'^k > lam', and last on J (`ReturnSystem.levels`
-    windows in all).  The windows nest as 0 is in Omega; a level has a few
-    pieces and costs about lam0 times as many steps, however long its words.
-    Level 0 is the spec's own I_A, I_B, I_C, whatever the sign of eps'.
-    The homothety check asks that J's pieces are lam' * I_i, moved by
-    lam' * shift_i; when it fails, `homothety_ok` is False and phi(i) is the
-    return word of the left end of lam' * I_i.  `StepBudgetExceeded` is
-    raised once a level's words total more than STEP_BUDGET letters, before
-    they are spelled; each of them occurs in some word of J's first return.
-    Each piece's letter counts are carried as integer sums over its index
-    word, so the `Substitution` is built on them without a scan, and of J's
-    words only the three images are spelled.
+    windows in all), each computed as the loop reaches it.  The windows and
+    J are integer matrices times the coder's own pairs, so a lam' that does
+    not map Z[e] into itself raises `InvalidUnit` before any level.  They
+    nest as 0 is in Omega; a level has a few pieces and costs about lam0
+    times as many steps, however long its words.  Level 0 is the spec's own
+    I_A, I_B, I_C, whatever the sign of eps'.  The homothety check asks that
+    J's pieces are lam' * I_i, moved by lam' * shift_i; when it fails,
+    `homothety_ok` is False and phi(i) is the return word of the left end
+    of lam' * I_i.  `StepBudgetExceeded`, naming the level, is raised once
+    a level's words total more than STEP_BUDGET letters, before they are
+    spelled; each of them occurs in some word of J's first return.  Each
+    piece's letter counts are carried as integer sums over its index word,
+    so the `Substitution` is built on them without a scan, and of J's words
+    only the three images are spelled.
     """
     conj = lam.conjugate()
     if not 0 < conj < 1:
@@ -182,35 +185,32 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
     # J = lam' * [c, c+l) is homothetic when its pieces are lam' * I_i, moved by lam' * shift_i
     coder, cuts, moves = _scaled_coder(spec, conj)
     fr = coder.frame
-    # pair(lam0' * x) = M' * pair(x), and lam0'^k > lam' iff lam0'^k * (c+l) > J's end
-    (m00, m01), (m10, m11) = contraction(spec.field)
-    windows, lo, hi = [], coder.c, coder.end
-    while True:
-        lo = (m00 * lo[0] + m01 * lo[1], m10 * lo[0] + m11 * lo[1])
-        hi = (m00 * hi[0] + m01 * hi[1], m10 * hi[0] + m11 * hi[1])
-        if fr.cmp(hi, cuts[3]) <= 0:
-            break
-        windows.append((lo, hi))
-    windows.append((cuts[0], cuts[3]))
     ends = (coder.c, coder.d1, coder.d2, coder.end)
     pieces = [(a, b, s, 1, ()) for a, b, s in zip(ends, ends[1:], coder.shift)]  # I_i
     texts = list(LETTERS)  # the letters of each piece
     counts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]  # and their (n_A, n_B, n_C)
-    for level, (lo, hi) in enumerate(windows, 1):
+    (m00, m01), (m10, m11) = contraction(spec.field)  # pair(lam0' * x) = M' * pair(x)
+    lo, hi = coder.c, coder.end
+    for levels in count(1):
+        lo = (m00 * lo[0] + m01 * lo[1], m10 * lo[0] + m11 * lo[1])
+        hi = (m00 * hi[0] + m01 * hi[1], m10 * hi[0] + m11 * hi[1])
+        if last := fr.cmp(hi, cuts[3]) <= 0:  # J replaces the first window not ending above it
+            lo, hi = cuts[0], cuts[3]
         pieces = _induce(fr, pieces, lo, hi, texts)
         if sum(p[3] for p in pieces) > STEP_BUDGET:
-            raise StepBudgetExceeded(f"the images for lambda = {lam} exceed {STEP_BUDGET} letters")
+            raise StepBudgetExceeded(f"level {levels} exceeds the step budget of {STEP_BUDGET} letters")
         # a list, not a generator: the generator form grew peak RSS on synth-long
         counts = [tuple(map(sum, zip(*[counts[i] for i in p[4]]))) for p in pieces]
-        if level < len(windows):  # J's words are spelled below, only the three picked
-            texts = ["".join(texts[i] for i in p[4]) for p in pieces]
+        if last:  # of J's words only the three picked are spelled, below
+            break
+        texts = ["".join(texts[i] for i in p[4]) for p in pieces]
     ok = [p[:3] for p in pieces] == [(cuts[i], cuts[i + 1], moves[i]) for i in range(3)]
     # without the homothety, phi(i) is the return word of the left end of lam' * I_i
     picks = [next(k for k, p in enumerate(pieces) if fr.cmp(x, p[1]) < 0) for x in cuts[:3]]
     rows = [counts[k] for k in picks]
     # for eps' > 1 the times are listed C, B, A, the order stored reports carry
     times = tuple(map(sum, rows[::-1] if spec.eps.conjugate() > 1 else rows))
-    ret = ReturnSystem(*map(fr.point, cuts[::3]), times, ok, len(windows))
+    ret = ReturnSystem(*map(fr.point, cuts[::3]), times, ok, levels)
     images = ["".join(texts[i] for i in pieces[k][4]) for k in picks]
     return ret, Substitution(("A", "B", "C"), dict(zip("ABC", images)), counts=rows)
 

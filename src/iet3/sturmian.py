@@ -31,7 +31,6 @@ from .errors import UnknownLetter
 from .iet import IetSpec, OrbitCoder, non_degenerate, read
 from .invariance import decide, is_sturm
 from .qfield import Frame, QuadNum
-from .quadunit import contraction
 
 __all__ = ["SturmianSpec", "sturmian_word", "sigma", "sturmian_images_match",
            "yasutomi", "corollary_crosscheck"]
@@ -74,7 +73,7 @@ def sturmian_word(spec: SturmianSpec, n: int) -> str:
     fr = Frame(alpha.field, [alpha, x0])
     a = fr.pair(alpha)
     ends, moves = ((0, 0), fr.pair(1 - alpha), (fr.L, 0)), (a, (a[0] - fr.L, a[1]))
-    return read(fr, fr.pair(x0), n, ends, moves, names, contraction(alpha.field))[0]
+    return read(fr, fr.pair(x0), n, ends, moves, names)[0]
 
 
 def sigma(variant: str, word: str) -> str:

@@ -159,7 +159,8 @@ class TestVerify:
     def test_lambda_must_return_the_images(self, tmp_path, capsys, power, new_lambda, passes):
         """The report's images must be the return words of its own lambda;
         a lambda with its conjugate outside (0, 1) proves nothing, and
-        lambda = 1/2 is no unit: its one level is not homothetic."""
+        lambda = 1/2 is no unit: it does not map Z[e] into itself, so the
+        induction refuses it before any level."""
         def edit(data):
             lam = parse_quadnum(data["lambda"], make_field(1, 2, -1, 1))
             sub = Substitution(("A", "B", "C"), data["substitution"]).power(power)
@@ -296,6 +297,21 @@ class TestSweep:
         assert len(records) == 3
         assert [r.get("verdict") for r in records] == ["Invariant", None, "Invariant"]
         assert records[1]["input"] == lines[1] and "error" in records[1]
+
+    def test_budget_line_does_not_stall_batch(self, tmp_path, capsys):
+        """c = -e/40009 needs a unit of thousands of digits; its line gets
+        an error record naming the step budget, quickly, and the valid
+        line after it is decided."""
+        valid = {"field": [1, 2, -1, 1], "eps": "e", "l": "1/2+1/2*e", "c": "-1/2*e"}
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(json.dumps(x) for x in (dict(valid, c="-1/40009*e"), valid)) + "\n")
+        code, out, err = run(["sweep", "--input", str(path)], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(records) == 2
+        assert f"step budget of {iet3.invariance.STEP_BUDGET} letters" in records[0]["error"]
+        assert records[1]["verdict"] == "Invariant"
 
     def test_unreadable_lines_get_records(self, tmp_path, capsys):
         valid = json.dumps({"field": [1, 2, -1, 1], "eps": "e",

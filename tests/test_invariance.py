@@ -10,12 +10,14 @@ from itertools import product
 import pytest
 
 import iet3.invariance
+import iet3.qfield
 from conftest import FIELD_SLOPES, convergents, corpus
 from iet3 import (OrbitCoder, check_block_starts, code_orbit, decide, is_sturm,
                   make_field, make_spec, parse_quadnum, step,
                   synthesize, ScalingUnit, Substitution)
 from iet3.invariance import return_substitution
 from iet3.errors import InvalidUnit, OutOfDomain, StepBudgetExceeded, WitnessRejected
+from iet3.qfield import sign_of_surd
 from oracles import ancestor, check_lemma_ancestor, points
 from walk_oracle import (NotApplicable, StraddlesDiscontinuity, reduce_by_reversal, walk_interval,
                          walk_substitution)
@@ -210,13 +212,15 @@ class TestSynthesize:
         ret, _sub = return_substitution(spec, parse_quadnum("5+2*e", F2))
         assert not ret.homothety_ok
 
-    def test_non_unit_lambda_fails_homothety(self, spec):
-        """lam = 1/2 puts J = [c, c+l)/2 inside the first window: one
-        level, whose pieces are not homothetic to the exchange's."""
-        ret, sub = return_substitution(spec, F2.rational(Fraction(1, 2)))
-        assert ret.levels == 1
-        assert not ret.homothety_ok
-        assert all(sub.images.values())
+    def test_non_unit_lambda_refused(self, monkeypatch, spec):
+        """lam' = 1/2 and 1/3 lie in (0, 1) but do not map Z[e] into
+        itself, so J has no integer matrix in the coder's frame: refused
+        before any level."""
+        calls = count_levels(monkeypatch)
+        for bad in (Fraction(1, 2), Fraction(1, 3)):
+            with pytest.raises(InvalidUnit, match="does not preserve"):
+                return_substitution(spec, F2.rational(bad))
+        assert not calls
 
     def test_budget_exhaustion_surfaces(self, monkeypatch):
         """A denominator that forces a huge scaling power (s = 10, lam
@@ -226,6 +230,29 @@ class TestSynthesize:
         sp = make_spec(F5R.eps(), F5R.num(Fraction(7, 10), 0),
                        F5R.num(Fraction(-1, 10), 0))
         with pytest.raises(StepBudgetExceeded):
+            decide(sp)
+
+    def test_budget_stops_the_ladder_early(self, monkeypatch):
+        """c = -e/10007 needs s = 5003; the windows are induced as they are
+        reached, so the budget stops the ladder after a few levels and a
+        few exact comparisons, not after one comparison per window."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sign_of_surd(*args)
+        monkeypatch.setattr(iet3.qfield, "sign_of_surd", counted)
+        sp = make_spec(F2.eps(), parse_quadnum("1/2+1/2*e", F2), parse_quadnum("-1/10007*e", F2))
+        with pytest.raises(StepBudgetExceeded):
+            decide(sp)
+        assert len(calls) <= 100
+
+    def test_budget_message_names_level_not_lambda(self):
+        """c = -e/40009 gives s of about 2*10^4 and a lam of thousands of
+        digits, which the message does not print (Python refuses str(int)
+        past 4300 digits); it names the level and the budget."""
+        sp = make_spec(F2.eps(), parse_quadnum("1/2+1/2*e", F2), parse_quadnum("-1/40009*e", F2))
+        with pytest.raises(StepBudgetExceeded, match=f"level .* {iet3.invariance.STEP_BUDGET} "):
             decide(sp)
 
 
