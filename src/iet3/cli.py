@@ -221,16 +221,17 @@ def _cmd_verify(args, out) -> int:
               (("verdict", str), ("s", int), ("return_times", list), ("checks", dict))]
     ok_eig = sub.check_eigenvector(spec.eps, lam)
     try:
-        ret, induced = return_substitution(spec, lam)
+        ret, induced = return_substitution(spec, claims[1])
+        # the claimed s (claims[1]) is powered only once its induction stayed within budget
         proven = (ret.homothety_ok and induced.images == sub.images
-                  and lam == lemma_unit(spec.field) ** ret.levels)
+                  and lam == lemma_unit(spec.field) ** claims[1])
         checks = {"fixed_point": proven, "eigenvector": ok_eig,
                   "homothety": ret.homothety_ok, "primitive": sub.is_primitive()}
         # as JSON text, where true is not 1 and 5.0 is not 5
         ok_fix = proven and json.dumps(claims, sort_keys=True) == json.dumps(
             ["Invariant", ret.levels, ret.return_times, checks], sort_keys=True)
     except (InvalidUnit, StepBudgetExceeded):
-        ok_fix = False  # lambda yields no return system to prove the fixed point with
+        ok_fix = False  # s yields no return system to prove the fixed point with
     print(f"fixed_point: {ok_fix}", file=out)
     print(f"eigenvector: {ok_eig}", file=out)
     return 0 if ok_fix and ok_eig else 1

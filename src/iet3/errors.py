@@ -58,4 +58,4 @@ class WitnessRejected(Iet3Error):
 
 
 class InvalidUnit(Iet3Error):
-    """A scaling candidate with conjugate outside (0, 1), or not permuting classes mod Z[e]."""
+    """A scaling candidate that is no unit > 1 with conjugate in (0, 1), or a power s < 1."""

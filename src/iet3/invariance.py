@@ -3,17 +3,19 @@ substitution as the first return map on a scaled copy of the domain.
 
 The decision itself is three exact sign checks on Galois conjugates.  For
 an Invariant verdict `return_substitution` builds the first return map on
-J = lam' * [c, c+l) by nested induction: on the windows lam0'^k * [c, c+l)
-of the fundamental unit lam0, each induced from the one before, and last
-on J.  Each piece of a level lies inside one piece of the level before at
-every step, so inside one interval I_i at every letter; the letters J's
-piece K_i reads are phi(i).  The induction is the proof: if each K_i is
-lam' * I_i and lands on lam' * T(I_i) (the homothety check), the orbit of
-lam' * x, x in I_i, reads phi(i) and ends at lam' * T(x), so by induction
-from 0 = lam' * 0, u = phi(u) on both sides.  Nothing here depends on the
-sign of eps', so every Sturm slope is induced from its own I_A, I_B, I_C
-in the same way.  J is scaled by the one unit `synthesize` derives from c
-and c+l; the images may total at most `STEP_BUDGET` letters.
+J = lam' * [c, c+l), lam = lam0^s, by nested induction: on the windows
+lam0'^k * [c, c+l), k = 1, ..., s, of the fundamental unit lam0, each
+induced from the one before, so J is the s-th.  Each piece of a level
+lies inside one piece of the level before at every step, so inside one
+interval I_i at every letter; the letters J's piece K_i reads are phi(i).
+The induction is the proof: if each K_i is lam' * I_i and lands on
+lam' * T(I_i) (the homothety check), the orbit of lam' * x, x in I_i,
+reads phi(i) and ends at lam' * T(x), so by induction from 0 = lam' * 0,
+u = phi(u) on both sides.  Nothing here depends on the sign of eps', so
+every Sturm slope is induced from its own I_A, I_B, I_C in the same way.
+The power s is the one `synthesize` derives from the classes of c and
+c+l, and lam is built only once the images, which may total at most
+`STEP_BUDGET` letters, are known to fit.
 
 The induction is `iet._induce`, which also gives the orbit coder its
 induced exchanges; here it compares the pairs of one `iet.OrbitCoder`
@@ -29,7 +31,6 @@ makes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import count
 from typing import Dict, Optional, Tuple
 
 from .errors import InvalidUnit, StepBudgetExceeded, WitnessRejected
@@ -53,7 +54,7 @@ STEP_BUDGET = 10**6  # cap on the letters of phi, tested before they are spelled
 
 @dataclass(frozen=True)
 class ReturnSystem:
-    """First return data on J = lam' * [c, c+l).
+    """First return data on J = lam' * [c, c+l), lam = lam0^s.
 
     `return_times` are |phi(A)|, |phi(B)|, |phi(C)|, the row sums of the
     counts the induction carries; for eps' > 1 they are listed as
@@ -64,7 +65,7 @@ class ReturnSystem:
     j_end: QuadNum
     return_times: Tuple[int, int, int]
     homothety_ok: bool
-    levels: int  # windows of the nested induction, J the last
+    levels: int  # s, the windows of the nested induction, J the last
 
 
 @dataclass
@@ -88,17 +89,6 @@ def is_sturm(eps: QuadNum) -> bool:
     return zero < eps < one and not (zero < conj < one)
 
 
-def _scaled_coder(spec: IetSpec, conj: QuadNum):
-    """An `OrbitCoder` and, in its frame, the pairs of lam' * (c, d1, d2,
-    c+l) and lam' * shift_i: M * pair(x) for the integer matrix M of lam',
-    which raises `InvalidUnit` when lam' does not map Z[e] into itself."""
-    coder = OrbitCoder(spec)
-    (m00, m01), (m10, m11) = integer_matrix(conj)
-    scaled = [(m00 * a + m01 * b, m10 * a + m11 * b)
-              for a, b in (coder.c, coder.d1, coder.d2, coder.end, *coder.shift)]
-    return coder, scaled[:4], scaled[4:]
-
-
 def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
                        window: int = 1000) -> bool:
     """Are the block starts of the substitution decomposition exactly the
@@ -111,8 +101,11 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    # J = [cuts[0], cuts[3]) and lam' * I_i = [cuts[i], cuts[i+1])
-    coder, cuts, _ = _scaled_coder(spec, unit.lam_conj)
+    # J = [cuts[0], cuts[3]) and lam' * I_i = [cuts[i], cuts[i+1]), M * pair(x) for M of lam'
+    coder = OrbitCoder(spec)
+    (m00, m01), (m10, m11) = integer_matrix(unit.lam_conj)
+    cuts = [(m00 * a + m01 * b, m10 * a + m11 * b)
+            for a, b in (coder.c, coder.d1, coder.d2, coder.end)]
     fr = coder.frame
     cmp, L, ef = fr.cmp, fr.L, fr.ef
     approx = [fr.approx(p) for p in cuts]
@@ -157,53 +150,49 @@ def check_block_starts(spec: IetSpec, unit: ScalingUnit, sub: Substitution,
     return True
 
 
-def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Substitution]:
-    """Return system on J = lam' * [c, c+l), 0 < lam' < 1, and the substitution
-    of its return words, by nested induction.
+def return_substitution(spec: IetSpec, s: int) -> Tuple[ReturnSystem, Substitution]:
+    """Return system on J = lam' * [c, c+l), lam = lam0^s for the fundamental
+    unit lam0 = `lemma_unit` and s >= 1, and the substitution of its return
+    words, by nested induction.
 
-    With Omega = [c, c+l) and lam0 = `lemma_unit`, the first return to
-    lam0'^k * Omega is induced from the one to lam0'^(k-1) * Omega for
-    k = 1, 2, ... while lam0'^k > lam', and last on J (`ReturnSystem.levels`
-    windows in all), each computed as the loop reaches it.  The windows and
-    J are integer matrices times the coder's own pairs, so a lam' that does
-    not map Z[e] into itself raises `InvalidUnit` before any level.  They
-    nest as 0 is in Omega; a level has a few pieces and costs about lam0
-    times as many steps, however long its words.  Level 0 is the spec's own
-    I_A, I_B, I_C, whatever the sign of eps'.  The homothety check asks that
-    J's pieces are lam' * I_i, moved by lam' * shift_i; when it fails,
+    With Omega = [c, c+l), the first return to the window
+    W_k = lam0'^k * Omega is induced from the one to W_(k-1) for
+    k = 1, ..., s, and J = W_s.  The windows nest as 0 is in Omega.  Each
+    is the integer matrix of lam0' applied k times to the coder's own
+    pairs, carried through the loop with lam0'^k * (d1, d2, shift_i), which
+    W_s's pieces must equal (the homothety check).  A level has a few
+    pieces and costs about lam0 times as many steps as the one before,
+    however long its words.  Level 0 is the spec's own I_A, I_B, I_C,
+    whatever the sign of eps'.  When the homothety check fails,
     `homothety_ok` is False and phi(i) is the return word of the left end
-    of lam' * I_i.  `StepBudgetExceeded`, naming the level, is raised once
-    a level's words total more than STEP_BUDGET letters, before they are
-    spelled; each of them occurs in some word of J's first return.  Each
-    piece's letter counts are carried as integer sums over its index word,
-    so the `Substitution` is built on them without a scan, and of J's words
-    only the three images are spelled.
+    of lam' * I_i.  An s < 1 raises `InvalidUnit` before any level.
+    `StepBudgetExceeded`, naming the level, is raised once a level's words
+    total more than STEP_BUDGET letters, before they are spelled; each of
+    them occurs in some word of J's first return.  Each piece's letter
+    counts are carried as integer sums over its index word, so the
+    `Substitution` is built on them without a scan, and of J's words only
+    the three images are spelled.
     """
-    conj = lam.conjugate()
-    if not 0 < conj < 1:
-        raise InvalidUnit(f"lambda' = {conj} is not in (0, 1)")
-    # J = lam' * [c, c+l) is homothetic when its pieces are lam' * I_i, moved by lam' * shift_i
-    coder, cuts, moves = _scaled_coder(spec, conj)
+    if s < 1:
+        raise InvalidUnit(f"the power s = {s} of the fundamental unit is not at least 1")
+    coder = OrbitCoder(spec)
     fr = coder.frame
     ends = (coder.c, coder.d1, coder.d2, coder.end)
-    pieces = [(a, b, s, 1, ()) for a, b, s in zip(ends, ends[1:], coder.shift)]  # I_i
+    pieces = [(a, b, t, 1, ()) for a, b, t in zip(ends, ends[1:], coder.shift)]  # I_i
     texts = list(LETTERS)  # the letters of each piece
     counts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]  # and their (n_A, n_B, n_C)
     (m00, m01), (m10, m11) = contraction(spec.field)  # pair(lam0' * x) = M' * pair(x)
-    lo, hi = coder.c, coder.end
-    for levels in count(1):
-        lo = (m00 * lo[0] + m01 * lo[1], m10 * lo[0] + m11 * lo[1])
-        hi = (m00 * hi[0] + m01 * hi[1], m10 * hi[0] + m11 * hi[1])
-        if last := fr.cmp(hi, cuts[3]) <= 0:  # J replaces the first window not ending above it
-            lo, hi = cuts[0], cuts[3]
-        pieces = _induce(fr, pieces, lo, hi, texts)
+    scaled = [*ends, *coder.shift]  # lam0'^k * (c, d1, d2, c+l, shift_i)
+    for levels in range(1, s + 1):
+        scaled = [(m00 * a + m01 * b, m10 * a + m11 * b) for a, b in scaled]
+        pieces = _induce(fr, pieces, scaled[0], scaled[3], texts)
         if sum(p[3] for p in pieces) > STEP_BUDGET:
             raise StepBudgetExceeded(f"level {levels} exceeds the step budget of {STEP_BUDGET} letters")
         # a list, not a generator: the generator form grew peak RSS on synth-long
         counts = [tuple(map(sum, zip(*[counts[i] for i in p[4]]))) for p in pieces]
-        if last:  # of J's words only the three picked are spelled, below
-            break
-        texts = ["".join(texts[i] for i in p[4]) for p in pieces]
+        if levels < s:  # of J's words only the three picked are spelled, below
+            texts = ["".join(texts[i] for i in p[4]) for p in pieces]
+    cuts, moves = scaled[:4], scaled[4:]
     ok = [p[:3] for p in pieces] == [(cuts[i], cuts[i + 1], moves[i]) for i in range(3)]
     # without the homothety, phi(i) is the return word of the left end of lam' * I_i
     picks = [next(k for k, p in enumerate(pieces) if fr.cmp(x, p[1]) < 0) for x in cuts[:3]]
@@ -218,16 +207,19 @@ def return_substitution(spec: IetSpec, lam: QuadNum) -> Tuple[ReturnSystem, Subs
 def synthesize(spec: IetSpec):
     """Scaling unit, return system and proven substitution for `spec`.
 
-    Requires decide(spec) == Invariant.  The unit is the least power of the
-    fundamental unit whose conjugate fixes the classes of c and c+l mod Z[e].
-    The nested induction of `return_substitution` and its homothety check
-    prove u = phi(u); the
-    eigenvector check is an independent recheck.  A witness that fails
-    either raises `WitnessRejected`.
+    Requires decide(spec) == Invariant.  The unit is lam = lam0^s for the
+    least power s of the fundamental unit lam0 whose conjugate fixes the
+    classes of c and c+l mod Z[e]; it is built only once the nested
+    induction of `return_substitution` has stayed within the step budget.
+    The induction and its homothety check prove u = phi(u); the eigenvector
+    check is an independent recheck.  A witness that fails either raises
+    `WitnessRejected`.
     """
     anchors = [spec.c, spec.end]
-    unit = class_fixing_power(lemma_unit(spec.field), denominator(anchors), anchors)
-    ret, sub = return_substitution(spec, unit.lam)
+    lam0 = lemma_unit(spec.field)
+    s = class_fixing_power(lam0, denominator(anchors), anchors)
+    ret, sub = return_substitution(spec, s)
+    unit = ScalingUnit(lam0**s, s, lam0)
     if not ret.homothety_ok:
         raise WitnessRejected(f"the return system of lambda = {unit.lam} fails the homothety check")
     if not sub.check_eigenvector(spec.eps, unit.lam):

@@ -2,9 +2,9 @@
 
 The unit gamma = X + BY + 2AY*e, built from the fundamental solution of
 X^2 - D*Y^2 = 1 with D = B^2 - 4AC, satisfies gamma*gamma' = 1 and maps
-Z[e] onto itself.  Raising Lambda0 = max(gamma, 1/gamma) to the smallest
-power s that fixes the residue classes of the window endpoints c and c+l
-(mod Z[e]) yields the scaling factor used by the synthesis.
+Z[e] onto itself.  The smallest power s of Lambda0 = max(gamma, 1/gamma)
+that fixes the residue classes of the window endpoints c and c+l (mod Z[e])
+gives the scaling factor Lambda0^s used by the synthesis.
 """
 
 from __future__ import annotations
@@ -107,16 +107,16 @@ def contraction(field: FieldDesc):
     return tuple(map(tuple, integer_matrix(lemma_unit(field).conjugate())))
 
 
-def class_fixing_power(lambda0: QuadNum, q: int, anchors) -> ScalingUnit:
+def class_fixing_power(lambda0: QuadNum, q: int, anchors) -> int:
     """Smallest power s >= 1 of lambda0 whose conjugate fixes each anchor's
-    residue class mod Z[e]; returns Lambda = lambda0^s.
+    residue class mod Z[e].
 
     The conjugate multiplies (1/q)Z[e] into itself, so each anchor's class
     orbit is a cycle of length <= q^2 and s is the lcm of the cycle lengths.
     The orbit runs on the classes (i, j) of (i + j*e)/q, which the integer
-    matrix of the conjugate maps to its product with (i, j), mod q.
-    Raises InvalidUnit when lambda0 is not a unit > 1 with conjugate in
-    (0, 1).
+    matrix of the conjugate maps to its product with (i, j), mod q.  No
+    power of lambda0 is built.  Raises InvalidUnit when lambda0 is not a
+    unit > 1 with conjugate in (0, 1).
     """
     (m00, m01), (m10, m11) = integer_matrix(lambda0.conjugate())
     s = 1
@@ -132,7 +132,6 @@ def class_fixing_power(lambda0: QuadNum, q: int, anchors) -> ScalingUnit:
                 raise InvalidUnit(f"class orbit of {anchor} longer than q^2 = {q * q}; "
                                   f"{lambda0} is not a unit")
         s = s * period // math.gcd(s, period)
-    unit = ScalingUnit(lam=lambda0**s, s=s, gamma=lambda0)
-    if not unit.is_valid():
-        raise InvalidUnit(f"({lambda0})^{s} is not a unit > 1 with conjugate in (0, 1)")
-    return unit
+    if not ScalingUnit(lambda0, 1, lambda0).is_valid():
+        raise InvalidUnit(f"{lambda0} is not a unit > 1 with conjugate in (0, 1)")
+    return s

@@ -98,9 +98,10 @@ def test_4_three_gap_structure(worked):
 
 
 def test_5_ancestor_oracle_equivalence(worked):
-    from iet3.quadunit import class_fixing_power
+    from iet3.quadunit import ScalingUnit, class_fixing_power
     lam0 = lemma_unit(worked.field)
-    unit = class_fixing_power(lam0, 2, [worked.c, worked.end])
+    s = class_fixing_power(lam0, 2, [worked.c, worked.end])
+    unit = ScalingUnit(lam0 ** s, s, lam0)
     z = worked.field.zero()
     checked = 0
     for _ in range(520):

@@ -4,11 +4,13 @@ batch sweeps."""
 
 import hashlib
 import json
+import time
 
 import pytest
 
 import iet3.cli
 import iet3.invariance
+import iet3.qfield
 from conftest import corpus
 from iet3 import Substitution, decide, make_field, parse_quadnum
 from iet3.cli import build_parser, main, report_to_json
@@ -157,10 +159,9 @@ class TestVerify:
         (1, lambda lam: lam / lam / 2, False),
     ], ids=["phi2-lambda2", "phi-lambda2", "phi-conjugate", "phi-minus-lambda", "phi-half"])
     def test_lambda_must_return_the_images(self, tmp_path, capsys, power, new_lambda, passes):
-        """The report's images must be the return words of its own lambda;
-        a lambda with its conjugate outside (0, 1) proves nothing, and
-        lambda = 1/2 is no unit: it does not map Z[e] into itself, so the
-        induction refuses it before any level."""
+        """The report's images must be the return words of its own s, and
+        its lambda must be lam0^s: a lambda with its conjugate outside
+        (0, 1), or lambda = 1/2, which is no unit, proves nothing."""
         def edit(data):
             lam = parse_quadnum(data["lambda"], make_field(1, 2, -1, 1))
             sub = Substitution(("A", "B", "C"), data["substitution"]).power(power)
@@ -188,6 +189,22 @@ class TestVerify:
         assert code == 1
         assert out == "fixed_point: False\neigenvector: True\n"
         assert err == ""
+
+    def test_claimed_s_is_never_powered(self, monkeypatch, tmp_path, capsys):
+        """A claimed s of 10^6 is induced level by level until the step
+        budget stops it; lam0^s is not built, so verify answers at once."""
+        exponents, power = [], iet3.qfield.QuadNum.__pow__
+
+        def recorded(x, n):
+            exponents.append(n)
+            return power(x, n)
+        path = edited_report(tmp_path, capsys, WORKED, lambda data: {**data, "s": 10**6})
+        monkeypatch.setattr(iet3.qfield.QuadNum, "__pow__", recorded)
+        start = time.perf_counter()
+        code, out, err = run(["verify", "--report", path], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "fixed_point: False\neigenvector: True\n", "")
+        assert max(exponents, default=0) <= 100
 
     @pytest.mark.parametrize("checks", [
         dict.fromkeys(CHECKS, False),

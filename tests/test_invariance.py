@@ -186,13 +186,13 @@ class TestSynthesize:
             synthesize(spec)
         assert len(calls) == 1
 
-    def test_lambda_conjugate_outside_unit_interval_refused(self, monkeypatch, spec, report):
-        """J = lam' * [c, c+l) holds 0 and lies in the domain only for
-        0 < lam' < 1; any other lam is refused before any level."""
+    def test_lambda_conjugate_outside_unit_interval_refused(self, monkeypatch, spec):
+        """J = lam' * [c, c+l), lam = lam0^s, holds 0 and lies in the domain
+        only for 0 < lam' < 1, that is for s >= 1; s = 0 (lam' = 1) and
+        s = -1 (lam' = lam0) are refused before any level."""
         calls = count_levels(monkeypatch)
-        lam = report.unit.lam
-        for bad in (lam.conjugate(), -lam, F2.one(), F2.zero()):
-            with pytest.raises(InvalidUnit, match="not in"):
+        for bad in (0, -1):
+            with pytest.raises(InvalidUnit, match="not at least 1"):
                 return_substitution(spec, bad)
         assert not calls
 
@@ -209,18 +209,8 @@ class TestSynthesize:
         with pytest.raises(WitnessRejected, match="homothety"):
             synthesize(spec)
         assert len(calls) == 1
-        ret, _sub = return_substitution(spec, parse_quadnum("5+2*e", F2))
+        ret, _sub = return_substitution(spec, 1)
         assert not ret.homothety_ok
-
-    def test_non_unit_lambda_refused(self, monkeypatch, spec):
-        """lam' = 1/2 and 1/3 lie in (0, 1) but do not map Z[e] into
-        itself, so J has no integer matrix in the coder's frame: refused
-        before any level."""
-        calls = count_levels(monkeypatch)
-        for bad in (Fraction(1, 2), Fraction(1, 3)):
-            with pytest.raises(InvalidUnit, match="does not preserve"):
-                return_substitution(spec, F2.rational(bad))
-        assert not calls
 
     def test_budget_exhaustion_surfaces(self, monkeypatch):
         """A denominator that forces a huge scaling power (s = 10, lam
@@ -246,6 +236,21 @@ class TestSynthesize:
         with pytest.raises(StepBudgetExceeded):
             decide(sp)
         assert len(calls) <= 100
+
+    def test_budget_stops_before_lambda_is_built(self, monkeypatch):
+        """c = -e/10007 needs s = 5003; the ladder is driven by s, and
+        lam = lam0^s is built only once the induction has stayed within the
+        budget, so no power of more than a few levels is ever taken."""
+        exponents, power = [], iet3.qfield.QuadNum.__pow__
+
+        def recorded(x, n):
+            exponents.append(n)
+            return power(x, n)
+        monkeypatch.setattr(iet3.qfield.QuadNum, "__pow__", recorded)
+        sp = make_spec(F2.eps(), parse_quadnum("1/2+1/2*e", F2), parse_quadnum("-1/10007*e", F2))
+        with pytest.raises(StepBudgetExceeded):
+            decide(sp)
+        assert max(exponents, default=0) <= 100
 
     def test_budget_message_names_level_not_lambda(self):
         """c = -e/40009 gives s of about 2*10^4 and a lam of thousands of
@@ -292,7 +297,7 @@ class TestInduction:
         sp = request.getfixturevalue(which)
         rep = decide(sp)
         lam2 = rep.unit.lam * rep.unit.lam
-        ret, sub = return_substitution(sp, lam2)
+        ret, sub = return_substitution(sp, 2 * rep.unit.s)
         ok, walked = walk_substitution(sp, lam2)
         assert ret.homothety_ok and ok
         assert sub.images == walked.images == rep.substitution.power(2).images
@@ -320,7 +325,7 @@ class TestInduction:
             finally:
                 frame.cmp = cmp
         monkeypatch.setattr(iet3.invariance, "_induce", counted)
-        ret, sub = return_substitution(sp, rep.unit.lam)
+        ret, sub = return_substitution(sp, rep.unit.s)
         assert ret.levels == rep.unit.s and sub == rep.substitution
         assert 0 < len(exact) <= bound
 
@@ -436,7 +441,7 @@ class TestReversal:
                 if decide(sp, synthesize_witness=False).verdict != "Invariant":
                     continue
                 unit, ret, sub = synthesize(sp)
-                red_ret, red = return_substitution(reduce_by_reversal(sp), unit.lam)
+                red_ret, red = return_substitution(reduce_by_reversal(sp), unit.s)
                 assert red_ret.homothety_ok, (label, l, c)
                 assert sub.images == {a: red.images[b][::-1].translate(swap)
                                       for a, b in zip("ABC", "CBA")}, (label, l, c)
