@@ -2,8 +2,10 @@
 
 Collapsing the middle letter B to 01 or to 10 projects the exchange word
 onto two Sturmian words; the three-letter word is substitution invariant
-exactly when both shadows are.  The script checks the projection
-identities letter by letter and runs the two-sided criterion on an
+exactly when both shadows are.  The script prints the first letters of
+both projections next to the predicted Sturmian words, proves the
+projection identities for every letter (the exchange is the first return
+map of the rotation by 1-eps), and runs the two-sided criterion on an
 invariant and a non-invariant parameter set.
 
 Run:  python demos/03_sturmian_shadows.py
@@ -25,7 +27,7 @@ def describe(spec, title):
     s10 = SturmianSpec(one - spec.eps, (-spec.l - spec.c).frac())
     print("slope 1-eps, intercept -c     :", sturmian_word(s01, 30), "...")
     print("slope 1-eps, intercept -(l+c) :", sturmian_word(s10, 30), "...")
-    print("projection identities at radius 1e4:",
+    print("projection identities proven for every letter:",
           sturmian_images_match(spec, 10**4))
     y1 = yasutomi(spec.eps, (-spec.c).frac())
     y2 = yasutomi(one - spec.eps, (spec.l + spec.c).frac())

@@ -22,8 +22,8 @@ for short reads.  Floats only filter the comparisons of `code` and
 the exact `Frame.cmp`.  `OrbitCoder.letters` runs `read` forward or
 backward, so nothing else decides a letter.
 `code_orbit` is the word-level wrapper; `sturmian.sturmian_word` runs
-`read` on a rotation, and `invariance.return_substitution` runs `_induce`
-on the windows of its synthesis.
+`read` on a rotation, `sturmian.sturmian_images_match` runs `_induce` on
+two, and `invariance.return_substitution` on the windows of its synthesis.
 """
 
 from __future__ import annotations

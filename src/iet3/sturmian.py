@@ -7,11 +7,11 @@ C->1 send a three-letter exchange word to the Sturmian words with slope
 1-eps / intercept -c and slope 1-eps / intercept -(l+c) respectively:
 each image codes the orbit of 0 under the rotation by 1-eps from which
 the exchange is induced, with the middle letter split as 01 (virtual
-region to the right of the domain) or 10 (virtual region to the left);
-checking
-those identities letter by letter, and checking that the three-letter
-decision agrees with the two Sturmian decisions, are the strongest
-independent cross-checks of the main decision procedure.
+region to the right of the domain) or 10 (virtual region to the left).
+`sturmian_images_match` proves those identities by inducing the rotation
+with `iet._induce`; checking that the three-letter decision agrees with
+the two Sturmian decisions is the strongest independent cross-check of
+the main decision procedure.
 
 `sturmian_word` codes the rotation by the slope with `iet.read`, the
 orbit kernel run on the base exchange or on an induced one: a rotation is
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownLetter
-from .iet import IetSpec, OrbitCoder, non_degenerate, read
+from .errors import OutOfDomain, UnknownLetter
+from .iet import IetSpec, OrbitCoder, _induce, make_spec, non_degenerate, read
 from .invariance import decide, is_sturm
 from .qfield import Frame, QuadNum
 
@@ -89,18 +89,28 @@ def sigma(variant: str, word: str) -> str:
 def sturmian_images_match(spec3: IetSpec, radius: int) -> bool:
     """Do the sigma images of the exchange word equal the predicted
     Sturmian words (slope 1-eps, intercept -c mod 1; slope 1-eps,
-    intercept -(l+c) mod 1) over `radius` letters of the images?"""
+    intercept -(l+c) mod 1)?  Proven for every letter, so at every radius.
+
+    The rotation by 1-eps on [c, c+1), reading 0 on [c, d2) and 1 on
+    [d2, c+1), and the one on [c+l-1, c+l) cut at d1, are induced on
+    [c, c+l) by `_induce`; the identities hold iff each gives the cuts and
+    moves of the exchange, with A, B, C reading 0, 01, 1 (B reading 10 for
+    sigma10).  No letter is read.  0 outside [c, c+l) raises OutOfDomain,
+    and eps or l out of range `make_spec`'s ValueError.
+    """
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    # each letter has an image of one or two letters, so radius letters reach radius
-    word, _ = OrbitCoder(spec3).letters(radius)
-    eps, one = spec3.eps, spec3.field.one()
-    expected01 = sturmian_word(SturmianSpec(one - eps, (-spec3.c).frac()), radius)
-    expected10 = sturmian_word(SturmianSpec(one - eps, (-spec3.l - spec3.c).frac()), radius)
-    return (
-        sigma("01", word)[:radius] == expected01
-        and sigma("10", word)[:radius] == expected10
-    )
+    coder = OrbitCoder(spec3)
+    fr, c, d1, d2, end = coder.frame, coder.c, coder.d1, coder.d2, coder.end
+    if fr.cmp((0, 0), c) < 0 or fr.cmp((0, 0), end) >= 0:
+        raise OutOfDomain(f"0 not in [{spec3.c}, {spec3.end})")
+    make_spec(spec3.eps, spec3.l, spec3.c)  # eps and l in range
+    a, b, cc = coder.shift
+    # each rotation's left end, cut and right end (1 is the pair (L, 0)), and B's word
+    return all(_induce(fr, [(lo, cut, a, 1, ()), (cut, hi, cc, 1, ())], c, end, "01")
+               == [(c, d1, a, 1, (0,)), (d1, d2, b, 2, mid), (d2, end, cc, 1, (1,))]
+               for lo, cut, hi, mid in ((c, d2, (c[0] + fr.L, c[1]), (0, 1)),
+                                        ((end[0] - fr.L, end[1]), d1, end, (1, 0))))
 
 
 def yasutomi(alpha: QuadNum, x0: QuadNum) -> bool:

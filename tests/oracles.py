@@ -1,9 +1,10 @@
 """References that only the tests read: the exchange's subintervals, the
 exact sign of a frame pair, the orbit points of a coder's text and the
 orbit as a stream of points, Sturmian words by integer rounding, the
-ancestor criterion of the paper's lemma, the exact spectrum of an
-incidence matrix, the nested induction with every comparison exact, and
-the block cut letter by letter.  The library's decision and its proof
+projection identities checked letter by letter, the ancestor criterion
+of the paper's lemma, the exact spectrum of an incidence matrix, the
+nested induction with every comparison exact, and the block cut letter
+by letter.  The library's decision and its proof
 need none of them.
 """
 
@@ -11,7 +12,7 @@ from functools import reduce
 from itertools import accumulate
 from math import isqrt, lcm
 
-from iet3 import OrbitCoder, step
+from iet3 import OrbitCoder, SturmianSpec, sigma, step, sturmian_word
 from iet3.errors import NoSquareRoot, OutOfDomain, StepBudgetExceeded
 from iet3.qfield import sqrt_in_field
 
@@ -71,6 +72,17 @@ def rounding_word(alpha, x0, n, rounding="floor"):
     sign = 1 if rounding == "floor" else -1  # ceil(z) = -floor(-z)
     values = [sign * floor(sign * (px + k * pa), sign * (qx + k * qa)) for k in range(n + 1)]
     return "".join(str(values[k + 1] - values[k]) for k in range(n))
+
+
+def letter_images_match(spec, radius):
+    """`sturmian_images_match` over the first `radius` letters: the sigma
+    images of `radius` letters of the exchange word, read by
+    `OrbitCoder.letters`, against the two Sturmian words read by
+    `sturmian_word` (each letter has an image of one or two letters)."""
+    word, _ = OrbitCoder(spec).letters(radius)
+    alpha = spec.field.one() - spec.eps
+    return all(sigma(variant, word)[:radius] == sturmian_word(SturmianSpec(alpha, x0), radius)
+               for variant, x0 in (("01", (-spec.c).frac()), ("10", (-spec.l - spec.c).frac())))
 
 
 def ancestor(spec, j_start, j_end, z0):

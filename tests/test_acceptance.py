@@ -10,7 +10,8 @@ Criteria:
  6. scaling-unit properties across five fields; Pell vs brute force
  7. decision == double two-letter criterion over the full corpus
  8. self-verifying synthesis on every invariant corpus spec
- 9. Sturmian complexity n+1 and projection identities on the corpus
+ 9. Sturmian complexity n+1 and projection identities on the corpus,
+    proven and read letter by letter
 """
 
 import time
@@ -24,7 +25,7 @@ from iet3 import (CapSetConfig, SturmianSpec, check_block_starts, complexity, de
                   parse_quadnum, point_value, solve_pell, star, step,
                   sturmian_images_match, sturmian_word, synthesize, yasutomi)
 from iet3.quadunit import PellSolution, ScalingUnit, lemma_unit
-from oracles import check_lemma_ancestor
+from oracles import check_lemma_ancestor, letter_images_match
 
 
 def report(n, detail):
@@ -183,5 +184,6 @@ def test_9_sturmian_sanity():
             assert complexity(w, 30) == expected
     for label, sp in corpus():
         assert sturmian_images_match(sp, 10**4), label
-    report(9, f"C(n)=n+1 for 8 generated words; projection identities on "
-              f"{len(corpus())} specs at radius 1e4, {time.time() - t0:.1f}s")
+        assert letter_images_match(sp, 10**4), label
+    report(9, f"C(n)=n+1 for 8 generated words; projection identities proven on "
+              f"{len(corpus())} specs and read at radius 1e4, {time.time() - t0:.1f}s")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import iet3.iet
 import iet3.invariance
+import iet3.sturmian
 from conftest import convergents, corpus
 from iet3 import (OrbitCoder, SturmianSpec, code_orbit, decide, inverse_step, make_field,
                   make_spec, non_degenerate, normalize, orbit_window, parse_quadnum, step,
@@ -204,8 +205,9 @@ class TestFloatFilter:
                     assert got == [letter for _z, letter in reference(sp, z, 20, back)]
 
     def test_induce_matches_exact_oracle(self, monkeypatch):
-        """Every induction of `decide` on the corpus, of letters(10**4) both
-        ways, of the two Sturmian words of `sturmian_images_match`, of
+        """Every induction of `decide` and of `sturmian_images_match` on the
+        corpus, of letters(10**4) both ways, of the two Sturmian words
+        that `sturmian_images_match` predicts, read at 10**4 letters, of
         letters(10**4) on the sqrt2 and sqrt5 specs with c moved by
         10^-400/3, and of Sturmian words from intercepts within float error
         of a crossing gives the pieces of the induction with every
@@ -228,10 +230,13 @@ class TestFloatFilter:
             return got
         monkeypatch.setattr(iet3.iet, "_induce", checked)
         monkeypatch.setattr(iet3.invariance, "_induce", checked)
+        monkeypatch.setattr(iet3.sturmian, "_induce", checked)
         specs = [sp for _label, sp in corpus()]
         for sp in specs:
             decide(sp)
-            sturmian_images_match(sp, 10**4)
+            assert sturmian_images_match(sp, 10**4)
+            for x0 in ((-sp.c).frac(), (-sp.l - sp.c).frac()):
+                sturmian_word(SturmianSpec(1 - sp.eps, x0), 10**4)
         tiny = Fraction(1, 3 * 10**400)
         specs += [make_spec(f.eps(), parse_quadnum(l, f), parse_quadnum(c, f) - tiny)
                   for f, l, c in ((F2, "1/2+1/2*e", "-1/2*e"), (F5, "1-1/2*e", "-1/3*e"))]

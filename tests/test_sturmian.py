@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-import iet3
+import iet3.iet
+import iet3.sturmian
 from conftest import convergents
-from iet3 import (SturmianSpec, complexity, corollary_crosscheck, make_field,
+from iet3 import (IetSpec, SturmianSpec, complexity, corollary_crosscheck, make_field,
                   make_spec, parse_quadnum, sigma, sturmian_images_match,
                   sturmian_word, yasutomi)
-from iet3.errors import UnknownLetter
-from oracles import rounding_word
+from iet3.errors import OutOfDomain, UnknownLetter
+from oracles import letter_images_match, rounding_word
 
 F2 = make_field(1, 2, -1, 1)
 F5 = make_field(1, 1, -1, 1)
@@ -105,24 +106,67 @@ class TestImagesMatch:
             sturmian_images_match(spec, radius)
 
     @pytest.mark.parametrize("radius", [1, 2, 7, 1001])
-    def test_reads_just_enough_letters(self, spec, radius, monkeypatch):
-        """The exchange word is read in one `letters` call of `radius`
-        letters, and its sigma images match sturmian_word computed directly."""
-        read = []
-        letters = iet3.sturmian.OrbitCoder.letters
-
-        def spy(self, *args, **kwargs):
-            text, end = letters(self, *args, **kwargs)
-            read.append(text)
-            return text, end
-        monkeypatch.setattr(iet3.sturmian.OrbitCoder, "letters", spy)
+    def test_letters_match_sturmian_words(self, spec, radius):
+        """The sigma images of `radius` letters of the exchange word, read
+        by `OrbitCoder.letters`, equal the two Sturmian words read by
+        sturmian_word, as the proof says."""
+        assert letter_images_match(spec, radius)
         assert sturmian_images_match(spec, radius)
-        word = "".join(read)
-        assert [len(text) for text in read] == [radius]
-        one = F2.one()
-        for variant, intercept in (("01", (-spec.c).frac()), ("10", (-spec.l - spec.c).frac())):
-            expected = sturmian_word(SturmianSpec(one - spec.eps, intercept), radius)
-            assert sigma(variant, word)[:radius] == expected
+
+    def test_reads_no_letters(self, spec, monkeypatch):
+        """The proof reads no letter of the exchange or Sturmian words."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a letter was read")
+        monkeypatch.setattr(iet3.sturmian.OrbitCoder, "letters", refuse)
+        monkeypatch.setattr(iet3.sturmian, "read", refuse)
+        monkeypatch.setattr(iet3.iet, "read", refuse)
+        monkeypatch.setattr(iet3.sturmian, "sturmian_word", refuse)
+        assert sturmian_images_match(spec, 10**4)
+
+    @pytest.mark.parametrize("rotation", [0, 1])
+    @pytest.mark.parametrize("mutation", ["B reversed", "d1 moved", "d2 moved"])
+    def test_wrong_induction_refused(self, spec, monkeypatch, rotation, mutation):
+        """An induction of either rotation with B's word reversed, or with
+        a cut moved by one unit of the frame, is not the exchange."""
+        induce, calls = iet3.sturmian._induce, []
+
+        def mutated(*args):
+            got = induce(*args)
+            calls.append(got)
+            if len(calls) - 1 == rotation:
+                (c, d1, a, na, wa), (_, d2, b, nb, wb), (_, end, cc, nc, wc) = got
+                if mutation == "B reversed":
+                    wb = wb[::-1]
+                elif mutation == "d1 moved":
+                    d1 = (d1[0] + 1, d1[1])
+                else:
+                    d2 = (d2[0] + 1, d2[1])
+                got = [(c, d1, a, na, wa), (d1, d2, b, nb, wb), (d2, end, cc, nc, wc)]
+            return got
+        monkeypatch.setattr(iet3.sturmian, "_induce", mutated)
+        assert not sturmian_images_match(spec, 10**4)
+        assert len(calls) == rotation + 1
+
+    def test_hypotheses_checked(self):
+        """A hand-built spec outside the hypotheses of the proof is refused:
+        0 outside [c, c+l) raises OutOfDomain, as no orbit of 0 is coded,
+        and l = 1/2 < 1 - eps, for which no rotation induces the exchange,
+        raises make_spec's ValueError."""
+        with pytest.raises(OutOfDomain):
+            sturmian_images_match(IetSpec(F2.eps(), parse_quadnum("1/2+1/2*e", F2),
+                                          parse_quadnum("1/10", F2)), 10**4)
+        with pytest.raises(ValueError, match="violates"):
+            sturmian_images_match(IetSpec(F2.eps(), F2.rational(Fraction(1, 2)),
+                                          F2.rational(Fraction(-1, 10))), 10**4)
+
+    def test_agrees_with_letters_past_float_range(self):
+        """On the sqrt2 and sqrt5 specs with c moved by 10^-400/3, whose
+        pairs lie far beyond the float range, the proof agrees with the
+        letter comparison at 10^4."""
+        tiny = Fraction(1, 3 * 10**400)
+        for f, l, c in ((F2, "1/2+1/2*e", "-1/2*e"), (F5, "1-1/2*e", "-1/3*e")):
+            sp = make_spec(f.eps(), parse_quadnum(l, f), parse_quadnum(c, f) - tiny)
+            assert sturmian_images_match(sp, 10**4) and letter_images_match(sp, 10**4)
 
     def test_perturbed_intercept_detected(self, spec):
         """Shifting the predicted intercept by 1/7 breaks the match
