@@ -12,11 +12,11 @@ import argparse
 import json
 import sys
 
-from .capset import CapSetConfig, gap_class, generate as capset_generate, point_value
+from .capset import CapSetConfig, gap_class, generate as capset_generate
 from .errors import Iet3Error, InvalidUnit, StepBudgetExceeded
 from .iet import IetSpec, code_orbit, make_spec, normalize, orbit_window
 from .invariance import DecisionReport, decide, return_substitution
-from .qfield import FieldDesc, QuadNum, make_field, parse_quadnum
+from .qfield import FieldDesc, QuadNum, decimal_of, make_field, parse_quadnum
 from .quadunit import lemma_unit
 from .substitution import Substitution, complexity
 
@@ -242,7 +242,7 @@ def _cmd_complexity(args, out) -> int:
         raise ValueError("complexity needs --radius >= 1 and 0 <= --n-max <= 2 * radius")
     spec = _spec_from_args(args)
     window = orbit_window(spec, args.radius)
-    values = complexity(window, args.n_max)
+    values = complexity(window, args.n_max, intervals=3)  # a 3iet word has <= 2n+1 factors
     if args.format == "json":
         json.dump({"n_max": args.n_max, "radius": args.radius, "C": values}, out)
         out.write("\n")
@@ -258,10 +258,11 @@ def _cmd_capset(args, out) -> int:
     eta = parse_quadnum(args.eta, spec.field) if args.eta else None
     cfg = CapSetConfig(spec.eps, spec.c, spec.l, eta)
     pts = capset_generate(cfg, args.count, back=args.back)
-    for i, p in enumerate(pts):
-        cls = gap_class(p, pts[i + 1]) if i + 1 < len(pts) else "-"
-        value = point_value(cfg, p).decimal(20)
-        print(f"{p[0]}\t{p[1]}\t{value}\t{cls}", file=out)
+    eta = cfg.eta  # a + b*eta = (a*eta.d + b*eta.p + b*eta.q*e)/eta.d, printed from integers
+    for i, (a, b) in enumerate(pts):
+        cls = gap_class((a, b), pts[i + 1]) if i + 1 < len(pts) else "-"
+        value = decimal_of(spec.field, a * eta.d + b * eta.p, b * eta.q, eta.d)
+        print(f"{a}\t{b}\t{value}\t{cls}", file=out)
     return 0
 
 

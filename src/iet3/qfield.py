@@ -40,6 +40,7 @@ __all__ = [
     "Frame",
     "make_field",
     "sqrt_in_field",
+    "decimal_of",
     "denominator",
     "class_of",
     "parse_quadnum",
@@ -137,6 +138,16 @@ def _sign_diff(k: Tuple[int, int, int, int], p: Tuple[int, int],
     A2, B, branch, D = k
     a, b = p[0] - q[0], p[1] - q[1]
     return sign_of_surd(A2 * a - B * b, branch * b, D)
+
+
+def _floor(k: Tuple[int, int, int, int], p: int, q: int, d: int) -> int:
+    """Exact floor of (p + q*e)/d = (P + Q*sqrt(D))/(2A*d), d > 0, k = field._surd,
+    P = 2A*p - B*q, Q = branch*q: as Q*sqrt(D) is 0 or irrational, it is the
+    floor of (P + floor(Q*sqrt(D)))/(2A*d), with floor(Q*sqrt(D)) from isqrt."""
+    A2, B, branch, D = k
+    Q = branch * q
+    r = math.isqrt(Q * Q * D)
+    return (A2 * p - B * q + (r if Q >= 0 else -r - 1)) // (A2 * d)
 
 
 class QuadNum:
@@ -298,26 +309,15 @@ class QuadNum:
     # -- numeric views --------------------------------------------------------
 
     def floor(self) -> int:
-        """Exact floor of the real value (P + Q*sqrt(D))/(2A*d), P = 2A*p - B*q
-        and Q = branch*q: as Q*sqrt(D) is 0 or irrational, it is the floor of
-        (P + floor(Q*sqrt(D)))/(2A*d), with floor(Q*sqrt(D)) from isqrt."""
-        A2, B, branch, D = self.field._surd
-        Q = branch * self.q
-        r = math.isqrt(Q * Q * D)
-        return (A2 * self.p - B * self.q + (r if Q >= 0 else -r - 1)) // (A2 * self.d)
+        """Exact floor of the real value, by `_floor` on its integers."""
+        return _floor(self.field._surd, self.p, self.q, self.d)
 
     def frac(self) -> "QuadNum":
         return self - self.floor()
 
     def decimal(self, digits: int = 20) -> str:
         """Decimal approximation to `digits` places, truncated (display only)."""
-        s = self.sign()
-        if s == 0:
-            return "0." + "0" * digits if digits else "0"
-        x = self if s > 0 else -self
-        whole, frac = divmod((x * 10**digits).floor(), 10**digits)
-        body = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
-        return body if s > 0 else "-" + body
+        return decimal_of(self.field, self.p, self.q, self.d, digits)
 
     # -- printing -------------------------------------------------------------
 
@@ -394,6 +394,17 @@ class Frame:
     def tol(self, size: float) -> float:
         """Error bound of a float margin whose terms' sizes sum to `size`."""
         return size * 2.0**-47 + 2.0**-1000
+
+
+def decimal_of(field: FieldDesc, p: int, q: int, d: int, digits: int = 20) -> str:
+    """Decimal of (p + q*e)/d, d > 0, truncated to `digits` places (display
+    only): the floor of |x|*10^digits by `_floor`.  p, q, d need no common
+    factor removed, so a loop prints its integers without a `QuadNum`."""
+    s = -1 if _sign_diff(field._surd, (p, q), (0, 0)) < 0 else 1  # zero prints as 0.00...0
+    whole, frac = divmod(_floor(field._surd, s * p * 10**digits, s * q * 10**digits, d),
+                         10**digits)
+    body = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+    return body if s > 0 else "-" + body
 
 
 def sqrt_in_field(field: FieldDesc, n: int) -> QuadNum:

@@ -170,13 +170,31 @@ def _matmul(x, y):
     ]
 
 
-def count_factors(letters: str, n: int) -> int:
-    """Number of distinct length-n factors of the given finite window."""
+def count_factors(letters: str, n: int, *, intervals: Optional[int] = None) -> int:
+    """Number of distinct length-n factors of the given finite window.
+
+    With `intervals=k` the letters code an exchange of k intervals, and the
+    scan stops once it has seen (k-1)*n + 1 factors: the result is
+    min(full count, (k-1)*n + 1) for any text.  For an exchange word the
+    minimum is the full count.  Its n-cylinders are intervals cut only at
+    the at most (k-1)*n points T^-j(d_i), j < n (Keane 1975), so the word
+    has at most (k-1)*n + 1 factors of length n, and a window of it no more.
+    """
     if n == 0:
         return 1
-    return len({letters[i : i + n] for i in range(len(letters) - n + 1)})
+    last = len(letters) - n + 1
+    if intervals is None:
+        return len({letters[i : i + n] for i in range(last)})
+    if intervals < 1:
+        raise ValueError("intervals must be at least 1")
+    bound, seen, start = (intervals - 1) * n + 1, set(), 0
+    while start < last and len(seen) < bound:  # chunks of bound, 2*bound, 4*bound, ...
+        seen.update(letters[i : i + n] for i in range(start, min(last, 2 * start + bound)))
+        start = 2 * start + bound
+    return min(len(seen), bound)
 
 
-def complexity(letters: str, n_max: int) -> List[int]:
-    """Factor counts C(0..n_max) of the window (a lower bound for the word)."""
-    return [count_factors(letters, n) for n in range(n_max + 1)]
+def complexity(letters: str, n_max: int, *, intervals: Optional[int] = None) -> List[int]:
+    """Factor counts C(0..n_max) of the window (a lower bound for the word),
+    each stopped at (intervals-1)*n + 1 as in `count_factors`."""
+    return [count_factors(letters, n, intervals=intervals) for n in range(n_max + 1)]

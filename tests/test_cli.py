@@ -12,7 +12,9 @@ import iet3.cli
 import iet3.invariance
 import iet3.qfield
 from conftest import corpus
-from iet3 import Substitution, decide, make_field, parse_quadnum
+from iet3 import (CapSetConfig, Substitution, complexity, decide, make_field, make_spec,
+                  orbit_window, parse_quadnum, point_value)
+from iet3.qfield import decimal_of
 from iet3.cli import build_parser, main, report_to_json
 
 WORKED = ["--field", "1,2,-1,+", "--eps", "e", "--l", "1/2+1/2*e",
@@ -23,6 +25,8 @@ NEGATIVE = ["--field", "1,2,-1,+", "--eps", "e", "--l", "1/2+1/2*e",
 SQRT5_NEG = ["--field", "1,1,-1,+", "--eps", "e", "--l", "1-1/2*e", "--c=-1/3"]
 # eps' > 1, s = 4, images of 60,697 to 158,905 letters
 SQRT5_REV = ["--field", "1,-3,1,-", "--eps", "e", "--l", "1-1/2*e", "--c=-1/3*e"]
+# l = 2e is in Z[e]: a connection, and C(n) = n+2 for n >= 1
+DEGENERATE = ["--field", "1,2,-1,+", "--eps", "e", "--l", "2*e", "--c=-1/2*e"]
 CHECKS = ("fixed_point", "eigenvector", "homothety", "primitive")  # a report's checks
 
 
@@ -254,6 +258,22 @@ class TestComplexity:
         assert lines[0] == "n\tC(n)"
         assert [l.split("\t")[1] for l in lines[1:]] == ["1", "3", "5", "7", "9", "11"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_degenerate_word_below_bound(self, capsys, fmt):
+        """C(n) = n+2 never reaches 2n+1, so every count scans the whole
+        window and agrees with the full count."""
+        code, out, _ = run(["complexity", *DEGENERATE, "--format", fmt, "--n-max", "30",
+                            "--radius", "2000"], capsys)
+        assert code == 0
+        if fmt == "json":
+            values = json.loads(out)["C"]
+        else:
+            values = [int(line.split("\t")[1]) for line in out.splitlines()[1:]]
+        f = make_field(1, 2, -1, 1)
+        spec = make_spec(f.eps(), f.num(0, 2), parse_quadnum("-1/2*e", f))
+        assert values == [1] + [n + 2 for n in range(1, 31)]
+        assert values == complexity(orbit_window(spec, 2000), 30)
+
     @pytest.mark.parametrize("radius, n_max", [("0", "30"), ("1", "4"), ("5", "-1")])
     def test_empty_window_refused(self, capsys, radius, n_max):
         """A window too short for the factors asked for is an input error,
@@ -276,6 +296,31 @@ class TestCapset:
         assert classes <= {"D1", "D2", "D1+D2", "-"}
         values = [float(r[2]) for r in rows]
         assert values == sorted(values)
+
+    @pytest.mark.parametrize("eta", [None, "1/3+2/7*e"])
+    def test_values_match_quadnum_decimal(self, capsys, eta):
+        """The value column, printed from integers, is each point's
+        QuadNum.decimal(20), on both sides of 0 and with eta's denominator."""
+        argv = ["capset", *WORKED, "--count", "40", "--back", "40"]
+        code, out, _ = run(argv + ([f"--eta={eta}"] if eta else []), capsys)
+        assert code == 0
+        f = make_field(1, 2, -1, 1)
+        cfg = CapSetConfig(f.eps(), parse_quadnum("-1/2*e", f), parse_quadnum("1/2+1/2*e", f),
+                           parse_quadnum(eta, f) if eta else None)
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert len(rows) == 81 and rows[40][:3] == ["0", "0", "0." + "0" * 20]
+        assert sum(r[2].startswith("-") for r in rows) == 40
+        for a, b, value, _cls in rows:
+            assert value == point_value(cfg, (int(a), int(b))).decimal(20), (a, b)
+
+    @pytest.mark.parametrize("eta", ["2+e", "1/3+2/7*e"])
+    @pytest.mark.parametrize("point", [(0, 0), (5, 0), (-7, 0), (-3, 2), (4, -9), (-11, -6)])
+    def test_integer_triple(self, eta, point):
+        """The triple capset prints, (a*eta.d + b*eta.p, b*eta.q, eta.d),
+        against the QuadNum a + b*eta, b = 0 and negative values included."""
+        f = make_field(1, 2, -1, 1)
+        x, (a, b) = parse_quadnum(eta, f), point
+        assert decimal_of(f, a * x.d + b * x.p, b * x.q, x.d) == (a + b * x).decimal(20)
 
 
 class TestSweep:

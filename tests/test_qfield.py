@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import iet3
 from conftest import convergents
 from iet3 import make_field, parse_quadnum, sqrt_in_field
-from iet3.qfield import Frame, class_of, denominator, sign_of_surd
+from iet3.qfield import Frame, class_of, decimal_of, denominator, sign_of_surd
 from iet3.errors import (DegenerateField, NoSquareRoot, NotInLattice,
                          ParseError)
 from oracles import frame_sign
@@ -377,6 +377,22 @@ class TestParsePrint:
     def test_decimal_negative(self):
         x = F2.num(0, Fraction(-1, 2))  # ~ -0.2071
         assert x.decimal(6).startswith("-0.207106")
+
+    @given(x=st.one_of(qnum(F2), qnum(F5)), digits=st.integers(0, 25), k=st.integers(1, 50))
+    def test_decimal_truncates_exactly(self, x, digits, k):
+        """The digits of `decimal_of` bracket |x| by exact comparisons, and
+        (p + q*e)/d prints the same with a common factor k left in."""
+        text = decimal_of(x.field, k * x.p, k * x.q, k * x.d, digits)
+        assert text == x.decimal(digits)
+        assert text.startswith("-") == (x.sign() < 0)
+        whole, _, frac = text.lstrip("-").partition(".")
+        assert len(frac) == digits
+        m = Fraction(int(whole + frac), 10**digits)
+        assert m <= abs(x) < m + Fraction(1, 10**digits)
+
+    def test_decimal_of_zero(self):
+        assert decimal_of(F2, 0, 0, 7, 3) == F2.zero().decimal(3) == "0.000"
+        assert decimal_of(F2, 0, 0, 1, 0) == "0"
 
     def test_no_float_view(self):
         """Exact numbers print as decimals but never convert to float."""

@@ -55,6 +55,14 @@ class TestSturmianWord:
             w = sturmian_word(SturmianSpec(f.eps(), x0), 4000)
             assert complexity(w, 30) == [1] + [n + 1 for n in range(1, 31)]
 
+    def test_complexity_capped_at_two_intervals(self):
+        """A Sturmian word codes a rotation, an exchange of two intervals,
+        so its counts stop at n+1 with nothing missed."""
+        for f, x0 in [(F2, F2.zero()), (F5, parse_quadnum("1/3+1/3*e", F5))]:
+            w = sturmian_word(SturmianSpec(f.eps(), x0), 4000)
+            assert complexity(w, 30, intervals=2) == complexity(w, 30) == \
+                [1] + [n + 1 for n in range(1, 31)]
+
     @pytest.mark.parametrize("rounding", ["floor", "ceiling"])
     def test_crossings_within_float_error(self, rounding):
         """Intercepts 1 - e + (b*e - a) for convergents a/b of e, b up to

@@ -2,11 +2,14 @@
 convention, eigenvalues in the quadratic field, primitivity, fixed-point
 verification, and factor complexity."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from conftest import corpus
 from iet3 import (OrbitCoder, Substitution, complexity, count_factors, code_orbit, decide,
-                  make_field, make_spec, parse_quadnum)
+                  make_field, make_spec, orbit_window, parse_quadnum)
 from iet3.errors import NoSquareRoot, UnknownLetter
 from iet3.substitution import _matmul
 from oracles import eigenvalues, letterwise_block_starts
@@ -278,3 +281,34 @@ class TestComplexity:
     def test_exchange_word_complexity(self, spec):
         w = code_orbit(spec, -2000, 2000)
         assert complexity(w, 12) == [1] + [2 * n + 1 for n in range(1, 13)]
+
+    @pytest.mark.parametrize("radius", [5, 40, 500])
+    def test_capped_count_exact_on_corpus(self, radius):
+        """Stopping each count at 2n+1 factors changes none: the full count,
+        the keyword left at its default, is the oracle."""
+        n_max = min(30, 2 * radius)
+        for label, sp in corpus():
+            w = orbit_window(sp, radius)
+            assert complexity(w, n_max, intervals=3) == complexity(w, n_max), label
+
+    def test_capped_count_on_degenerate_word(self):
+        """sqrt2 with l = 2e and c = -e/2 has C(n) = n+2, so the scan never
+        stops early and still counts every factor."""
+        sp = make_spec(F2.eps(), F2.num(0, 2), F2.num(0, Fraction(-1, 2)))
+        w = orbit_window(sp, 2000)
+        want = [1] + [n + 2 for n in range(1, 31)]
+        assert complexity(w, 30, intervals=3) == complexity(w, 30) == want
+
+    def test_capped_count_is_min_with_bound(self):
+        """On any text the capped count is min(full count, (k-1)*n + 1)."""
+        rng = random.Random(29)
+        for _ in range(300):
+            text = "".join(rng.choice("ABC") for _ in range(rng.randrange(60)))
+            for k in (1, 2, 3, 4):
+                for n in range(9):
+                    assert count_factors(text, n, intervals=k) == \
+                        min(count_factors(text, n), (k - 1) * n + 1)
+
+    def test_intervals_must_be_positive(self):
+        with pytest.raises(ValueError):
+            count_factors("ABC", 2, intervals=0)
